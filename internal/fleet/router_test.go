@@ -221,6 +221,57 @@ func TestRouterRelayPassthroughAndAck(t *testing.T) {
 	}
 }
 
+// TestRouterRelaysNonFiniteWindowToEnd: a window whose control variate
+// fits its samples exactly carries CV.Reduction = +Inf, which JSON cannot
+// encode. The shard writes it as null, so the relay passes the window
+// through and finishes on the stream's end event instead of treating
+// the stream as severed and reconnecting to it forever.
+func TestRouterRelaysNonFiniteWindowToEnd(t *testing.T) {
+	d := newShardDirectory()
+	sh := startShard(t, d, "solo", "", server.Config{})
+	defer sh.srv.Close()
+	defer sh.ts.Close()
+	_, rts := startRouter(t, testRouterConfig(d, sh))
+
+	// Stream seed 3 under the sim feed's default filter, three samples per
+	// 20-frame window with sampler seed 5: the first window fits exactly.
+	createFeedVia(t, rts.URL, map[string]any{
+		"name": "cam1", "profile": "jackson", "source": "sim", "seed": 3, "max_frames": 100,
+	})
+	fid := registerVia(t, rts.URL,
+		"SELECT COUNT(FRAMES) FROM cam1 WHERE COUNT(car) >= 1 WINDOW HOPPING (SIZE 20, ADVANCE BY 20)",
+		map[string]any{"samples": 3, "seed": 5})
+
+	sc := openStream(t, rts.URL+"/v1/queries/"+fid+"/results?from=0")
+	windows, exact := 0, 0
+	for {
+		ev, ok := sc.next(t, 10*time.Second)
+		if !ok {
+			t.Fatal("stream closed before end event")
+		}
+		switch ev.Kind {
+		case "shard_down", "shard_up", "relay_failed":
+			t.Fatalf("relay treated the stream as severed: %+v", ev)
+		case "window":
+			windows++
+			if strings.Contains(string(ev.Event), `"Reduction":null`) {
+				exact++
+			}
+		}
+		if ev.Kind == "end" {
+			break
+		}
+	}
+	if windows != 5 || exact == 0 {
+		t.Fatalf("relayed %d windows, %d with an exact fit; want 5 and at least 1", windows, exact)
+	}
+	for _, sm := range routerMetricsOf(t, rts.URL).Shards {
+		if sm.Resumes != 0 {
+			t.Fatalf("shard %s: relay resumed %d times", sm.Name, sm.Resumes)
+		}
+	}
+}
+
 // TestRouterRefusesRecoveringShard: a shard answering healthz with 503
 // {"status":"recovering"} is probed into the "recovering" state, refuses
 // new registrations with 503 shard_unavailable, and degrades the

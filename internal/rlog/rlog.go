@@ -356,12 +356,15 @@ func (l *Log[T]) wakeSpaceLocked() chan struct{} {
 // the Sample policy may decimate and DropOldest semantics apply to;
 // terminal events (a stream's end marker) pass false so they always
 // land, overwriting the oldest entry if the ring is full of unread
-// events. abort, when non-nil, releases a Block-policy writer waiting
-// for a consumer (the append is then counted dropped).
+// events — under Block only once abort fires, after waiting for room
+// like any other event. abort, when non-nil, releases a Block-policy
+// writer waiting for a consumer (a droppable append is then counted
+// dropped).
 //
 // Append reports whether the value was stored. It returns false after
 // Close, on abort, and for events the policy shed.
 func (l *Log[T]) Append(v T, droppable bool, abort <-chan struct{}) bool {
+	released := false // a terminal event's Block wait was aborted
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -497,21 +500,23 @@ func (l *Log[T]) Append(v T, droppable bool, abort <-chan struct{}) bool {
 		// Eviction of a consumed (or spilled) entry is always allowed;
 		// losing an unread one is what the policy decides.
 		if !spilled && l.first >= l.floorLocked() {
-			if l.policy == Block && droppable {
+			if l.policy == Block && !released {
+				// Lossless: wait for a consumer to make room — a terminal
+				// event too, or a lagging consumer would lose the event
+				// it overwrote. (A nil abort never fires.)
 				l.spaceWaiters++
 				ch := l.spaceCh
 				l.mu.Unlock()
-				if abort == nil {
-					<-ch
-				} else {
-					select {
-					case <-ch:
-					case <-abort:
+				select {
+				case <-ch:
+				case <-abort:
+					if droppable {
 						l.mu.Lock()
 						l.dropped++
 						l.mu.Unlock()
 						return false
 					}
+					released = true
 				}
 				l.mu.Lock()
 				if l.closed {
@@ -521,8 +526,8 @@ func (l *Log[T]) Append(v T, droppable bool, abort <-chan struct{}) bool {
 				continue
 			}
 			// DropOldest, Sample at full pressure (non-droppable), or a
-			// terminal event under any policy: overwrite the oldest
-			// unread so the event always lands.
+			// terminal event whose Block wait was aborted: overwrite the
+			// oldest unread so the event always lands.
 			l.dropped++
 		}
 		var zero T

@@ -95,6 +95,47 @@ func TestLogBlockAppendAborts(t *testing.T) {
 	}
 }
 
+// Block is lossless for terminal events too: an end marker appended over
+// a lagging reader's full ring waits for room rather than overwrite the
+// reader's next event, and lands by overwriting only once abort fires.
+func TestLogBlockTerminalEventWaitsForReader(t *testing.T) {
+	l := New[int](8, Block)
+	r := l.ReaderFrom(0)
+	appendN(t, l, 0, 8, true)
+	abort := make(chan struct{})
+	stored := make(chan bool)
+	go func() { stored <- l.Append(8, false, abort) }()
+	select {
+	case <-stored:
+		t.Fatal("terminal event overwrote an unread entry on a block log")
+	case <-time.After(20 * time.Millisecond):
+	}
+	for want := int64(0); want <= 8; want++ {
+		it, ok := r.Next(nil)
+		if !ok || it.Gap != nil || it.Seq != want {
+			t.Fatalf("read %+v, want seq %d", it, want)
+		}
+		if want == 0 && !<-stored {
+			t.Fatal("terminal event not stored once room freed")
+		}
+	}
+	if l.Dropped() != 0 {
+		t.Fatalf("dropped %d on block policy", l.Dropped())
+	}
+
+	// Aborted (the registration was cancelled): the terminal event still
+	// lands, overwriting the oldest unread entry.
+	appendN(t, l, 9, 8, true) // the ring holds eight unread entries again
+	go func() { stored <- l.Append(99, false, abort) }()
+	close(abort)
+	if !<-stored {
+		t.Fatal("aborted terminal event did not land")
+	}
+	if l.Dropped() != 1 {
+		t.Fatalf("dropped %d after the aborted wait, want 1", l.Dropped())
+	}
+}
+
 // DropOldest: the writer never blocks; a trailing reader observes one
 // gap covering exactly the overwritten range, then a contiguous tail.
 func TestLogDropOldestGapsTrailingReader(t *testing.T) {

@@ -19,10 +19,21 @@
 // frames identically. The deadline bounds the latency a frame can add
 // waiting for cross-feed batch-mates, mirroring the per-feed flush
 // deadline, so the server's match-the-moment-it-happens contract holds.
+//
+// The same interchangeability lets flushes that overlap in time run
+// concurrently: each group keeps a pool of evaluators — its members' own
+// backend instances, each with its own arena and buffers — and a flush
+// claims the lowest-ranked idle one, so a group whose flushes never
+// overlap evaluates everything on its founding member exactly as a
+// single serial evaluator would. How many flushes run at once, and how
+// many workers each may fan out to, is bounded by one CPU budget.
 package sched
 
 import (
+	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -56,6 +67,14 @@ type Config struct {
 	// nil leaves evaluator defaults untouched (size to GOMAXPROCS). The
 	// server wires this to its budgeter so coalesced GEMMs and per-feed
 	// scans share one CPU budget instead of oversubscribing.
+	//
+	// A flush merged from every live submitter may use the whole budget,
+	// so Workers(n) for n at least the live submitter count is the whole
+	// budget: the broker reads it that way (as Workers(math.MaxInt32))
+	// when flushes overlap, and splits it across them — concurrent
+	// flushes of one group together never hold more workers than that.
+	// Without Workers the budget is GOMAXPROCS and each flush counts as
+	// one worker.
 	Workers func(distinct int) int
 	// ParallelFlops is the estimated multiply-add count (batch frames ×
 	// the evaluator's per-frame ForwardFlops) at which a merged flush is
@@ -107,7 +126,7 @@ type brokerShard struct {
 	groups map[string]*group
 	// retired accumulates the final counters of groups whose last proxy
 	// departed (rotated-out architectures): the group itself is removed —
-	// so its evaluator's weight tensors and scratch buffers are released —
+	// so its evaluators' weight tensors and scratch buffers are released —
 	// but its history stays visible in Metrics, merged per key and capped
 	// FIFO so churn cannot grow the snapshot without bound.
 	retired      map[string]*GroupMetrics
@@ -144,8 +163,9 @@ func (br *Broker) shardFor(key string) *brokerShard {
 // Wrap returns a backend whose batch evaluations are coalesced with every
 // other Wrap-returned backend sharing b's coalescing key. Backends that
 // declare no key (filters.CoalesceKeyOf == "") are returned unchanged —
-// they evaluate exactly as before. The proxy is always safe for
-// concurrent use: the broker serialises the underlying evaluations.
+// they evaluate exactly as before. b joins its group's evaluator pool.
+// The proxy is always safe for concurrent use: the broker never enters
+// one backend instance from two flushes at once.
 func (br *Broker) Wrap(b filters.Backend) filters.Backend {
 	if br == nil {
 		return b
@@ -160,26 +180,48 @@ func (br *Broker) Wrap(b filters.Backend) filters.Backend {
 	defer sh.mu.Unlock()
 	g, ok := sh.groups[key]
 	if !ok {
-		// The first member becomes the group's evaluator: equal keys make
-		// member backends interchangeable, so one instance (one weight
-		// set, one arena) serves the whole group cache-hot.
 		g = &group{
-			key: key, sh: sh, eval: cb,
+			key: key, sh: sh,
 			batch: sh.cfg.Batch, flush: sh.cfg.Flush,
 			workersFn:     sh.cfg.Workers,
 			parallelFlops: sh.cfg.ParallelFlops,
 			flopsPerFrame: filters.ForwardFlopsOf(cb),
 		}
+		g.idle.L = &g.mu
 		sh.groups[key] = g
+	}
+	if p, ok := b.(*proxy); ok && p.group == g {
+		b = p.inner // re-wrapped: join the group directly, not through it
 	}
 	g.mu.Lock()
 	g.joined++
 	g.attached++
+	ev := g.evaluatorLocked(b)
 	g.mu.Unlock()
 	// Membership (what flushes wait on) is taken lazily at the proxy's
 	// first submission, so a wrapped-but-idle feed — configured yet
 	// queryless, for instance — never makes anyone wait for it.
-	return &proxy{group: g, inner: b}
+	return &proxy{group: g, inner: b, ev: ev}
+}
+
+// evaluatorLocked returns the pool entry serving backend b, appending a
+// new lowest-priority one when b is not already pooled (caller holds
+// g.mu). One instance wrapped twice — the same backend handed to two
+// feeds, or a proxy of this group re-wrapped — shares one entry, so the
+// pool can never enter an instance from two flushes at once. The first
+// entry, the founder, serves every flush that does not overlap another.
+func (g *group) evaluatorLocked(b filters.Backend) *evaluator {
+	if reflect.TypeOf(b).Comparable() {
+		for _, ev := range g.evals {
+			if ev.be == b {
+				ev.refs++
+				return ev
+			}
+		}
+	}
+	ev := &evaluator{be: b, refs: 1}
+	g.evals = append(g.evals, ev)
+	return ev
 }
 
 // GroupMetrics is one architecture group's share of the broker snapshot.
@@ -290,11 +332,21 @@ type request struct {
 	done   chan struct{}
 }
 
+// evaluator is one pooled backend instance together with the buffers a
+// flush through it reuses. busy and refs are guarded by the group's mu;
+// all and scratch belong to whichever flush holds the evaluator.
+type evaluator struct {
+	be      filters.Backend
+	busy    bool // claimed by a flush or an isolation re-run
+	refs    int  // attached proxies served by this instance; 0 = leaving the pool
+	all     []*video.Frame
+	scratch []*filters.Output
+}
+
 // group is the pending state for one architecture identity.
 type group struct {
 	key   string
 	sh    *brokerShard
-	eval  filters.BatchBackend
 	batch int
 	flush time.Duration
 
@@ -319,11 +371,14 @@ type group struct {
 	maxBatch int
 	merged   int64
 
-	// evalMu serialises the underlying evaluations: member backends reuse
-	// forward-pass arenas and are not concurrency-safe.
-	evalMu  sync.Mutex
-	scratch []*filters.Output
-	all     []*video.Frame
+	// evals is the evaluator pool in rank order, founder first: member
+	// backends reuse forward-pass arenas and are not concurrency-safe, so
+	// each flush claims one idle instance for itself. granted is the sum
+	// of the worker grants held by the flushes in flight; idle (on mu)
+	// wakes flushes waiting for an evaluator or for budget.
+	evals   []*evaluator
+	granted int
+	idle    sync.Cond
 }
 
 // submit queues frames for the next coalesced evaluation and blocks until
@@ -335,7 +390,7 @@ func (g *group) submit(from *proxy, frames []*video.Frame) []*filters.Output {
 	if g.members < 2 && g.pending == nil {
 		// A single-member group has no one to coalesce with: waiting out
 		// the deadline would only throttle the lone feed. Evaluate
-		// synchronously (still serialised on the group evaluator).
+		// synchronously (still through the group's evaluator pool).
 		g.mu.Unlock()
 		g.run([]*request{r})
 		if r.pval != nil {
@@ -412,8 +467,12 @@ func (g *group) take() []*request {
 	return reqs
 }
 
-// run evaluates one claimed pending set through the group evaluator and
-// scatters the outputs back to the submitters in claim order.
+// run evaluates one claimed pending set on an evaluator from the group's
+// pool and scatters the outputs back to the submitters in claim order.
+// Every submitter is woken only after the evaluator is back in the pool
+// and the flush is folded into the group's counters, so a caller that
+// returns from a submission sees its frames in Metrics, and a submitter
+// that re-submits at once finds the evaluator it just used idle again.
 //
 // run never panics, whichever goroutine carries it (a submitter, the
 // deadline timer, a departing member's flush): a fault in the merged
@@ -427,11 +486,9 @@ func (g *group) run(reqs []*request) {
 	if len(reqs) == 0 {
 		return
 	}
-	g.evalMu.Lock()
-	all := g.all[:0]
-	distinct := 0
+	n, distinct := 0, 0
 	for i, r := range reqs {
-		all = append(all, r.frames...)
+		n += len(r.frames)
 		dup := false
 		for _, q := range reqs[:i] {
 			if q.from == r.from {
@@ -443,63 +500,162 @@ func (g *group) run(reqs []*request) {
 			distinct++
 		}
 	}
-	if g.workersFn != nil {
-		// Route this flush's CPU budget: merges whose estimated GEMM work
-		// clears the threshold get the scheduler-granted share; smaller
-		// ones stay on one core, where fan-out costs more than it saves.
-		// Worker count never changes output bytes, only wall-clock.
-		workers := 1
-		if g.flopsPerFrame > 0 && int64(len(all))*g.flopsPerFrame >= g.parallelFlops {
-			if w := g.workersFn(distinct); w > workers {
-				workers = w
-			}
+	// Route this flush's CPU budget: merges whose estimated GEMM work
+	// clears the threshold get the scheduler-granted share; smaller ones
+	// stay on one core, where fan-out costs more than it saves. Worker
+	// count never changes output bytes, only wall-clock.
+	want := 1
+	if g.workersFn != nil && g.flopsPerFrame > 0 && int64(n)*g.flopsPerFrame >= g.parallelFlops {
+		if w := g.workersFn(distinct); w > want {
+			want = w
 		}
-		filters.SetEvalWorkers(g.eval, workers)
 	}
-	outs, pval := evalGuarded(g.eval, all, g.scratch[:0])
+	ev, grant := g.acquire(nil, reqs[0].from.ev, want)
+	if g.workersFn != nil {
+		filters.SetEvalWorkers(ev.be, grant)
+	}
+	all := ev.all[:0]
+	for _, r := range reqs {
+		all = append(all, r.frames...)
+	}
+	outs, pval := evalGuarded(ev.be, all, ev.scratch[:0])
 	if pval == nil {
 		off := 0
 		for _, r := range reqs {
 			r.outs = append(r.outs, outs[off:off+len(r.frames)]...)
 			off += len(r.frames)
-			close(r.done)
 		}
 		// Clear the recycled backing arrays: their slots would otherwise
-		// pin the batch's frames and outputs until the group's next
+		// pin the batch's frames and outputs until the evaluator's next
 		// flush, which on a quiet group may never come.
-		clear(all)
 		clear(outs)
-		g.all, g.scratch = all[:0], outs[:0]
+		ev.scratch = outs[:0]
 	} else {
-		// Merged batch poisoned: isolate per submitter.
-		for _, r := range reqs {
-			solo, p := evalGuarded(r.from.inner, r.frames, nil)
-			if p != nil {
-				r.pval = p
-			} else {
-				r.outs = append(r.outs, solo...)
-			}
-			close(r.done)
-		}
-		clear(all)
-		g.all = all[:0]
 		// The panicking evaluation may have appended into the scratch
 		// backing array before unwinding; drop it rather than recycle
 		// slots holding unknown state.
-		g.scratch = nil
+		ev.scratch = nil
 	}
-	g.evalMu.Unlock()
+	clear(all)
+	ev.all = all[:0]
 
 	g.mu.Lock()
+	g.releaseLocked(ev, grant)
 	g.batches++
-	g.frames += int64(len(all))
-	if len(all) > g.maxBatch {
-		g.maxBatch = len(all)
+	g.frames += int64(n)
+	if n > g.maxBatch {
+		g.maxBatch = n
 	}
 	if len(reqs) > 1 {
 		g.merged++
 	}
 	g.mu.Unlock()
+
+	if pval != nil {
+		// Merged batch poisoned: isolate per submitter, each on its own
+		// instance, claimed only now that the merged evaluator is back —
+		// a flush never holds two evaluators at once.
+		for _, r := range reqs {
+			own, grant := g.acquire(r.from.ev, nil, 1)
+			if g.workersFn != nil {
+				filters.SetEvalWorkers(own.be, grant)
+			}
+			solo, p := evalGuarded(own.be, r.frames, nil)
+			g.mu.Lock()
+			g.releaseLocked(own, grant)
+			g.mu.Unlock()
+			if p != nil {
+				r.pval = p
+			} else {
+				r.outs = append(r.outs, solo...)
+			}
+		}
+	}
+	for _, r := range reqs {
+		close(r.done)
+	}
+}
+
+// acquire claims an evaluator and a worker grant of at most want, waiting
+// while none is idle or the budget is spent. With own set it claims that
+// instance specifically; otherwise the lowest-ranked idle pool entry,
+// falling back to fallback once every member has left the pool (late
+// submissions after a departure are still served). A flush that starts
+// while no other is in flight is granted want in full, so flushes that
+// never overlap run exactly as on a single serial evaluator; an
+// overlapping one gets what is left of the budget.
+func (g *group) acquire(own, fallback *evaluator, want int) (*evaluator, int) {
+	budget := 0 // read only once a flush finds another in flight
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for {
+		ev := own
+		if ev == nil {
+			ev = g.pickLocked(fallback)
+		}
+		if ev != nil && !ev.busy {
+			grant := want
+			if g.granted > 0 {
+				if budget == 0 {
+					// Config.Workers is caller code: never call it under mu.
+					g.mu.Unlock()
+					budget = g.budget()
+					g.mu.Lock()
+					continue
+				}
+				grant = min(want, budget-g.granted)
+			}
+			if grant >= 1 {
+				ev.busy = true
+				g.granted += grant
+				return ev, grant
+			}
+		}
+		g.idle.Wait()
+	}
+}
+
+// pickLocked returns the lowest-ranked idle pool entry, nil when every
+// one is busy, or fallback when the pool is empty (caller holds g.mu).
+func (g *group) pickLocked(fallback *evaluator) *evaluator {
+	if len(g.evals) == 0 {
+		return fallback
+	}
+	for _, e := range g.evals {
+		if !e.busy {
+			return e
+		}
+	}
+	return nil
+}
+
+// budget is the worker budget the group's concurrent flushes share (see
+// Config.Workers).
+func (g *group) budget() int {
+	if g.workersFn != nil {
+		return max(1, g.workersFn(math.MaxInt32))
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// releaseLocked returns a claimed evaluator and its grant (caller holds
+// g.mu); an evaluator whose members have all left drops out of the pool
+// here, so a closed feed's weights are not pinned.
+func (g *group) releaseLocked(ev *evaluator, grant int) {
+	ev.busy = false
+	g.granted -= grant
+	if ev.refs <= 0 {
+		g.dropLocked(ev)
+	}
+	g.idle.Broadcast()
+}
+
+// dropLocked removes ev from the pool, keeping the survivors' ranks in
+// order so the founder role passes to the next member (caller holds g.mu).
+func (g *group) dropLocked(ev *evaluator) {
+	if i := slices.Index(g.evals, ev); i >= 0 {
+		g.evals = slices.Delete(g.evals, i, i+1)
+	}
 }
 
 // evalGuarded runs one batch evaluation, converting a panic into a
@@ -539,13 +695,18 @@ func (g *group) join() {
 // held, if any — flushing any pending set that now has a submission from
 // every remaining live member, and removing the group from the broker
 // once its last proxy departs, so rotated-out architectures do not pin
-// their evaluator's weight tensors and scratch buffers forever.
-func (g *group) release(wasMember bool) {
+// their evaluator's weight tensors and scratch buffers forever. The
+// proxy's evaluator leaves the pool once no attached proxy shares it —
+// now if it is idle, else when its in-flight flush returns it.
+func (g *group) release(wasMember bool, ev *evaluator) {
 	g.sh.mu.Lock()
 	g.mu.Lock()
 	g.attached--
 	if wasMember && g.members > 0 {
 		g.members--
+	}
+	if ev.refs--; ev.refs <= 0 && !ev.busy {
+		g.dropLocked(ev)
 	}
 	var take []*request
 	if len(g.pending) > 0 && len(g.pending) >= g.members {
@@ -566,6 +727,7 @@ func (g *group) release(wasMember bool) {
 type proxy struct {
 	group *group
 	inner filters.Backend
+	ev    *evaluator // inner's pool entry: where its isolation re-runs go
 
 	mu    sync.Mutex
 	state int // 0 fresh, 1 joined (submitted at least once), 2 left
@@ -611,8 +773,8 @@ func (p *proxy) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*f
 }
 
 // ConcurrentSafe implements filters.ConcurrentBackend: submissions may
-// come from any number of goroutines; the group serialises the inner
-// evaluations.
+// come from any number of goroutines; the group's pool hands each flush
+// an instance no other flush is using.
 func (p *proxy) ConcurrentSafe() bool { return true }
 
 // CoalesceKey implements filters.Coalescable, so an already-wrapped
@@ -626,6 +788,6 @@ func (p *proxy) Leave() {
 	p.state = 2
 	p.mu.Unlock()
 	if prev != 2 {
-		p.group.release(prev == 1)
+		p.group.release(prev == 1, p.ev)
 	}
 }

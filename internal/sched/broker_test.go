@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -539,5 +541,316 @@ func TestBrokerShardChurn(t *testing.T) {
 	}
 	if want := int64(workers * rounds * perFeed); frames != want {
 		t.Fatalf("metrics account %d frames, want %d", frames, want)
+	}
+}
+
+// Metrics must account for a flush before any of its submitters wakes:
+// a caller that reads the snapshot right after its submission returns
+// sees every frame returned so far, whichever goroutine ran the flush.
+func TestBrokerMetricsVisibleOnReturn(t *testing.T) {
+	br := New(Config{Batch: 64, Flush: 200 * time.Microsecond})
+	a := br.Wrap(newTrained(t, 3))
+	b := br.Wrap(newTrained(t, 3))
+	frames := video.NewStream(video.Jackson(), 9).Take(4)
+	var returned atomic.Int64
+	var wg sync.WaitGroup
+	for i, be := range []filters.Backend{a, b} {
+		wg.Add(1)
+		go func(i int, be filters.Backend) {
+			defer wg.Done()
+			for k := 0; k < 150; k++ {
+				be.Evaluate(frames[(i+k)%len(frames)])
+				done := returned.Add(1)
+				var seen int64
+				for _, gm := range br.Metrics() {
+					seen += gm.Frames
+				}
+				if seen < done {
+					t.Errorf("submitter %d: metrics account %d frames after %d returned", i, seen, done)
+					return
+				}
+			}
+		}(i, be)
+	}
+	wg.Wait()
+}
+
+// poolStats aggregates what a set of poolRecorders observed.
+type poolStats struct {
+	delay     time.Duration // how long each evaluation lingers, to force overlap
+	active    atomic.Int64  // evaluations in flight
+	maxActive atomic.Int64
+	workers   atomic.Int64 // worker grants held by evaluations in flight
+	maxWorker atomic.Int64
+	reentered atomic.Bool
+}
+
+func storeMax(m *atomic.Int64, v int64) {
+	for {
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// poolRecorder is one pooled backend instance that records how the pool
+// uses it. Entering it from two flushes at once — the one thing the pool
+// must never do — flags the stats and panics.
+type poolRecorder struct {
+	*filters.Trained
+	stats   *poolStats
+	inside  atomic.Bool
+	calls   atomic.Int64
+	granted int64         // last SetEvalWorkers grant
+	hold    chan struct{} // when set, evaluations block until it closes
+}
+
+func newPoolRecorder(t testing.TB, st *poolStats) *poolRecorder {
+	return &poolRecorder{Trained: newTrained(t, 41), stats: st}
+}
+
+func (r *poolRecorder) SetEvalWorkers(n int) {
+	if r.inside.Load() {
+		r.stats.reentered.Store(true)
+	}
+	r.granted = int64(n)
+	r.Trained.SetEvalWorkers(n)
+}
+
+func (r *poolRecorder) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*filters.Output {
+	if !r.inside.CompareAndSwap(false, true) {
+		r.stats.reentered.Store(true)
+		panic("pooled instance entered by two flushes at once")
+	}
+	defer r.inside.Store(false)
+	r.calls.Add(1)
+	storeMax(&r.stats.maxActive, r.stats.active.Add(1))
+	defer r.stats.active.Add(-1)
+	storeMax(&r.stats.maxWorker, r.stats.workers.Add(r.granted))
+	defer r.stats.workers.Add(-r.granted)
+	if r.hold != nil {
+		<-r.hold
+	}
+	time.Sleep(r.stats.delay)
+	return r.Trained.EvaluateBatch(frames, dst)
+}
+
+func (r *poolRecorder) Evaluate(f *video.Frame) *filters.Output {
+	var out [1]*filters.Output
+	return r.EvaluateBatch([]*video.Frame{f}, out[:0])[0]
+}
+
+// pooled returns the group's evaluator instances in rank order.
+func pooled(bk filters.Backend) []filters.Backend {
+	g := bk.(*proxy).group
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make([]filters.Backend, len(g.evals))
+	for i, ev := range g.evals {
+		out[i] = ev.be
+	}
+	return out
+}
+
+// Flushes that overlap must run on distinct member instances — never one
+// instance twice at once, even one backend handed to two feeds — and,
+// given two cores, genuinely concurrently, each submitter still getting
+// outputs bit-identical to a standalone evaluation of its frames.
+func TestBrokerPoolRunsOverlappingFlushesOnDistinctEvaluators(t *testing.T) {
+	p := video.Jackson()
+	const feeds, instances, perFeed = 4, 3, 12
+	st := &poolStats{delay: 3 * time.Millisecond}
+	br := New(Config{Batch: 2, Flush: time.Millisecond}) // every 2-frame submission flushes at once
+	recs := make([]*poolRecorder, instances)
+	for i := range recs {
+		recs[i] = newPoolRecorder(t, st)
+	}
+	backends := make([]filters.Backend, feeds)
+	for i := range backends {
+		backends[i] = br.Wrap(recs[i%instances]) // feeds 0 and 3 share one instance
+	}
+	if n := len(pooled(backends[0])); n != instances {
+		t.Fatalf("pool holds %d entries for %d instances", n, instances)
+	}
+	var wg sync.WaitGroup
+	for i := range backends {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			clip := video.NewStream(p, uint64(300+i)).Take(perFeed)
+			want := filters.EvaluateBatch(newTrained(t, 41), clip)
+			var got []*filters.Output
+			for off := 0; off < perFeed; off += 2 {
+				got = filters.EvaluateBatchInto(backends[i], clip[off:off+2], got)
+			}
+			for j := range want {
+				requireSameOutput(t, i, j, got[j], want[j])
+			}
+		}(i)
+	}
+	wg.Wait()
+	if st.reentered.Load() {
+		t.Fatal("one evaluator instance was entered by two flushes at once")
+	}
+	used := 0
+	for _, r := range recs {
+		if r.calls.Load() > 0 {
+			used++
+		}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if max := st.maxActive.Load(); max > int64(procs) {
+		t.Fatalf("%d flushes ran at once on a budget of %d", max, procs)
+	}
+	if procs >= 2 {
+		if used < 2 {
+			t.Fatalf("overlapping flushes all ran on one evaluator (%d used)", used)
+		}
+		if st.maxActive.Load() < 2 {
+			t.Fatal("no two flushes ever ran concurrently with GOMAXPROCS >= 2")
+		}
+	}
+}
+
+// With many members submitting random batch widths concurrently, every
+// output the pool produces must be bit-identical to a standalone
+// evaluation — whichever member instance evaluated it. Run under -race.
+func TestBrokerPoolOutputsBitIdentical(t *testing.T) {
+	p := video.Jackson()
+	const feeds, perFeed = 8, 40
+	br := New(Config{Batch: 12, Flush: 300 * time.Microsecond})
+	backends := make([]filters.Backend, feeds)
+	for i := range backends {
+		backends[i] = br.Wrap(newTrained(t, 5))
+	}
+	var wg sync.WaitGroup
+	for i := range backends {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			clip := video.NewStream(p, uint64(700+i)).Take(perFeed)
+			want := filters.EvaluateBatch(newTrained(t, 5), clip)
+			rng := rand.New(rand.NewSource(int64(i)))
+			var got []*filters.Output
+			for off := 0; off < perFeed; {
+				w := min(1+rng.Intn(5), perFeed-off)
+				got = filters.EvaluateBatchInto(backends[i], clip[off:off+w], got)
+				off += w
+			}
+			if len(got) != perFeed {
+				t.Errorf("feed %d: %d outputs, want %d", i, len(got), perFeed)
+				return
+			}
+			for j := range want {
+				requireSameOutput(t, i, j, got[j], want[j])
+			}
+		}(i)
+	}
+	wg.Wait()
+	var frames int64
+	for _, gm := range br.Metrics() {
+		frames += gm.Frames
+	}
+	if frames != feeds*perFeed {
+		t.Fatalf("metrics account %d frames, want %d", frames, feeds*perFeed)
+	}
+}
+
+// Concurrent flushes split the worker budget: together they never hold
+// more workers than Workers reports for the whole group, and each one
+// holds at least one.
+func TestBrokerPoolSplitsWorkerBudget(t *testing.T) {
+	p := video.Jackson()
+	const budget, feeds, perFeed = 3, 6, 12
+	st := &poolStats{delay: 2 * time.Millisecond}
+	br := New(Config{
+		Batch: 2, Flush: time.Millisecond, ParallelFlops: 1,
+		Workers: func(distinct int) int { return min(distinct, budget) },
+	})
+	backends := make([]filters.Backend, feeds)
+	for i := range backends {
+		backends[i] = br.Wrap(newPoolRecorder(t, st))
+	}
+	var wg sync.WaitGroup
+	for i := range backends {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			clip := video.NewStream(p, uint64(900+i)).Take(perFeed)
+			for off := 0; off < perFeed; off += 2 {
+				filters.EvaluateBatchInto(backends[i], clip[off:off+2], nil)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if st.reentered.Load() {
+		t.Fatal("one evaluator instance was entered by two flushes at once")
+	}
+	if max := st.maxWorker.Load(); max > budget {
+		t.Fatalf("concurrent flushes held %d workers on a budget of %d", max, budget)
+	}
+	if st.maxActive.Load() < 2 {
+		t.Fatal("no two flushes ever overlapped: the budget split went unexercised")
+	}
+}
+
+// A member that leaves drops out of the pool — at once when its evaluator
+// is idle, after its in-flight flush otherwise — so later flushes never
+// use its instance and the founder role passes to the next member; the
+// group still retires when its last proxy departs.
+func TestBrokerPoolMemberLeaveDropsEvaluator(t *testing.T) {
+	p := video.Jackson()
+	st := &poolStats{}
+	br := New(Config{Batch: 64, Flush: time.Hour}) // every flush here is a lone member's
+	a, b, c := newPoolRecorder(t, st), newPoolRecorder(t, st), newPoolRecorder(t, st)
+	pa, pb, pc := br.Wrap(a), br.Wrap(b), br.Wrap(c)
+	frames := video.NewStream(p, 17).Take(4)
+
+	// Idle founder leaves: the next member takes over at once.
+	pa.(Member).Leave()
+	if got := pooled(pb); len(got) != 2 || got[0] != filters.Backend(b) || got[1] != filters.Backend(c) {
+		t.Fatalf("pool after the founder left = %v, want [b c]", got)
+	}
+	filters.EvaluateBatch(pb, frames[:2]) // lone member: synchronous, on the new founder
+	if a.calls.Load() != 0 || b.calls.Load() != 1 {
+		t.Fatalf("calls a=%d b=%d after founder left, want 0 and 1", a.calls.Load(), b.calls.Load())
+	}
+
+	// A busy evaluator whose member leaves stays until its flush returns.
+	b.hold = make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		filters.EvaluateBatch(pb, frames[2:])
+	}()
+	for b.calls.Load() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	pb.(Member).Leave()
+	if got := pooled(pc); len(got) != 2 {
+		t.Fatalf("busy evaluator left the pool before its flush returned: %v", got)
+	}
+	close(b.hold)
+	<-done
+	if got := pooled(pc); len(got) != 1 || got[0] != filters.Backend(c) {
+		t.Fatalf("pool after the busy member's flush = %v, want [c]", got)
+	}
+	filters.EvaluateBatch(pc, frames)
+	if a.calls.Load() != 0 || b.calls.Load() != 2 || c.calls.Load() != 1 {
+		t.Fatalf("departed instances reused: calls a=%d b=%d c=%d", a.calls.Load(), b.calls.Load(), c.calls.Load())
+	}
+
+	pc.(Member).Leave()
+	for _, sh := range br.shards {
+		sh.mu.Lock()
+		n := len(sh.groups)
+		sh.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("group still held after its last proxy left")
+		}
+	}
+	if ms := br.Metrics(); len(ms) != 1 || ms[0].Frames != 8 || ms[0].Live != 0 {
+		t.Fatalf("retired group metrics: %+v", ms)
 	}
 }

@@ -241,7 +241,10 @@ func (b *budgeter) rebalanceLocked() {
 // feed may use the whole budget while a batch from one feed of many
 // stays inside that feed's fair share and cannot starve the per-feed
 // gates. Clamped to [1, total]; with no live feeds (a flush can race
-// the last registration's teardown) the whole budget is available.
+// the last registration's teardown) the whole budget is available. The
+// broker reads the whole budget as coalesceShare(math.MaxInt32) and
+// splits it across a group's flushes in flight, so concurrent merged
+// batches together stay inside it too.
 func (b *budgeter) coalesceShare(distinct int) int {
 	b.mu.Lock()
 	live := len(b.feeds)

@@ -33,6 +33,9 @@ func runFleet(t *testing.T, cfg Config, backend filters.Backend, frames []*video
 		if regs[i], err = srv.Register(parse(t, src), opt); err != nil {
 			t.Fatal(err)
 		}
+		// Attach the consumer before the feed starts, so no event is
+		// appended while its reader is still missing.
+		regs[i].Results()
 	}
 	srv.Start()
 	out := make([][]Event, nQueries)
@@ -45,6 +48,9 @@ func runFleet(t *testing.T, cfg Config, backend filters.Backend, frames []*video
 			if !sawEnd {
 				t.Errorf("query %d: no end event", i)
 			}
+			if d := r.Log().Dropped(); d != 0 {
+				t.Errorf("query %d: %d events dropped under %v", i, d, opt.Policy)
+			}
 			out[i] = append(evs, final)
 		}(i, r)
 	}
@@ -56,7 +62,10 @@ func runFleet(t *testing.T, cfg Config, backend filters.Backend, frames []*video
 // same fleet over the same clip under block (the lossless pre-log
 // contract), drop-oldest and sample-under-pressure yields identical
 // event streams when consumers drain promptly — the policies differ only
-// under pressure. Checked for a calibrated and a trained backend.
+// under pressure. Checked for a calibrated and a trained backend. The
+// no-pressure premise is made true, not assumed: every reader attaches
+// before the feed starts, each ring holds the clip's whole stream, and
+// runFleet checks that no log dropped anything.
 func TestServerPolicyEquivalenceWhenDraining(t *testing.T) {
 	p := video.Jackson()
 	const n, nQueries = 256, 3
@@ -86,11 +95,52 @@ func TestServerPolicyEquivalenceWhenDraining(t *testing.T) {
 		},
 	}
 	for label, mk := range backends {
-		block := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.Block})
-		drop := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.DropOldest})
-		sample := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.Sample})
+		block := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.Block, ResultBuffer: n + 1})
+		drop := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.DropOldest, ResultBuffer: n + 1})
+		sample := runFleet(t, Config{}, mk(), frames, src, nQueries, Options{Policy: rlog.Sample, ResultBuffer: n + 1})
 		requireSame(label+"/drop-oldest", drop, block)
 		requireSame(label+"/sample", sample, block)
+	}
+}
+
+// Block stays lossless at the end of a stream: a consumer lagging a full
+// ring behind when the query finishes still reads every match and then
+// the end event, with no gap — the end event waits for room instead of
+// overwriting the consumer's next event.
+func TestServerBlockEndEventWaitsForLaggingConsumer(t *testing.T) {
+	p := video.Jackson()
+	const n = 120
+	cfg, _ := clipFeed(p, 7, n)
+	srv := New(Config{})
+	if err := srv.AddFeed(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg, err := srv.Register(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) >= 0`),
+		Options{Policy: rlog.Block, ResultBuffer: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader := reg.ResultsFrom(0)
+	defer reader.Detach()
+	srv.Start()
+	var matches int
+	for {
+		it, ok := reader.Next(nil)
+		if !ok {
+			t.Fatalf("stream closed after %d matches without an end event", matches)
+		}
+		if it.Gap != nil {
+			t.Fatalf("block consumer saw gap [%d,%d)", it.Gap.From, it.Gap.To)
+		}
+		if it.Value.Kind == EventEnd {
+			break
+		}
+		matches++
+		time.Sleep(time.Millisecond) // lag: the writer fills the ring and waits
+	}
+	if matches != n || reg.Log().Dropped() != 0 {
+		t.Fatalf("read %d matches, %d dropped; want %d and 0", matches, reg.Log().Dropped(), n)
 	}
 }
 

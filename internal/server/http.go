@@ -392,7 +392,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		if err := enc.Encode(reg.itemEvent(it)); err != nil {
+		if err := encodeFinite(enc, reg.itemEvent(it)); err != nil {
 			return
 		}
 		if flusher != nil {
@@ -476,7 +476,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		events = []Event{}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(historyResponse{
+	_ = encodeFinite(json.NewEncoder(w), historyResponse{
 		QueryID: reg.ID(), From: from, NextFrom: next, Events: events,
 	})
 }

@@ -357,7 +357,14 @@ func (r *Registration) emitFinal(ev Event, force bool) {
 		ev.QueryID = r.id
 		ev.Feed = r.feedName
 		ev.EventSeq = r.log.NextSeq()
-		r.log.Append(ev, false, nil)
+		// Under Block the end event waits for a lagging consumer like any
+		// event until the registration is cancelled; the forced end
+		// (already cancelled) lands at once.
+		var abort <-chan struct{} = neverBlock
+		if !force {
+			abort = r.sub.Cancelled()
+		}
+		r.log.Append(ev, false, abort)
 	})
 }
 
@@ -474,8 +481,8 @@ func (r *Registration) runMonitor(eng *query.Engine, n int) {
 	}
 	r.stats.mu.Unlock()
 	// The end event is not droppable: however hard the policy shed load,
-	// the stream's totals always land (overwriting the oldest retained
-	// event if it must).
+	// the stream's totals always land (under DropOldest and Sample
+	// overwriting the oldest retained event if they must).
 	r.emitFinal(ev, false)
 }
 

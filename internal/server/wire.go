@@ -1,7 +1,12 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"strings"
 
 	"vmq/internal/geom"
 	"vmq/internal/video"
@@ -102,4 +107,114 @@ func (wf wireFrame) frame(p video.Profile) (*video.Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// encodeFinite writes v with enc exactly as enc.Encode would, except that
+// a value encoding/json refuses for holding a non-finite float is written
+// with each such float as null. Events can carry one legitimately: a
+// window whose control variate fits the samples exactly reports
+// CV.Reduction = +Inf. Refusing it would end the consumer's stream
+// without its end event; the in-process Event keeps the +Inf.
+func encodeFinite(enc *json.Encoder, v any) error {
+	err := enc.Encode(v)
+	var uv *json.UnsupportedValueError
+	if errors.As(err, &uv) {
+		return enc.Encode(finiteTree(reflect.ValueOf(v)))
+	}
+	return err
+}
+
+// marshalFinite is json.Marshal with encodeFinite's non-finite rule.
+func marshalFinite(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	var uv *json.UnsupportedValueError
+	if errors.As(err, &uv) {
+		return json.Marshal(finiteTree(reflect.ValueOf(v)))
+	}
+	return b, err
+}
+
+// finiteTree converts v into a value encoding/json renders byte for byte
+// as it renders v — struct fields in declaration order under their json
+// names, omitempty and "-" honoured — except that non-finite floats
+// become null. It covers the kinds events are built from (structs,
+// pointers, slices, strings, integers, floats); only the fallback path
+// uses it.
+func finiteTree(v reflect.Value) any {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		if f := v.Float(); math.IsInf(f, 0) || math.IsNaN(f) {
+			return nil
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			return nil
+		}
+		return finiteTree(v.Elem())
+	case reflect.Slice:
+		if v.IsNil() {
+			return nil
+		}
+		out := make([]any, v.Len())
+		for i := range out {
+			out[i] = finiteTree(v.Index(i))
+		}
+		return out
+	case reflect.Struct:
+		t := v.Type()
+		var obj jsonObject
+		for i := 0; i < t.NumField(); i++ {
+			sf := t.Field(i)
+			name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
+			if !sf.IsExported() || name == "-" {
+				continue
+			}
+			if name == "" {
+				name = sf.Name
+			}
+			fv := v.Field(i)
+			if opts == "omitempty" && emptyJSON(fv) {
+				continue
+			}
+			obj = append(obj, jsonField{name, finiteTree(fv)})
+		}
+		return obj
+	}
+	return v.Interface()
+}
+
+// emptyJSON is encoding/json's omitempty test for those kinds.
+func emptyJSON(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Slice, reflect.String:
+		return v.Len() == 0
+	case reflect.Float32, reflect.Float64:
+		return v.Float() == 0
+	}
+	return v.IsZero()
+}
+
+// jsonObject is a JSON object whose keys keep their order.
+type jsonObject []jsonField
+
+type jsonField struct {
+	name string
+	val  any
+}
+
+// MarshalJSON implements json.Marshaler.
+func (o jsonObject) MarshalJSON() ([]byte, error) {
+	buf := []byte{'{'}
+	for i, f := range o {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		k, _ := json.Marshal(f.name)
+		val, err := json.Marshal(f.val)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(append(append(buf, k...), ':'), val...)
+	}
+	return append(buf, '}'), nil
 }

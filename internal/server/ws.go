@@ -221,7 +221,7 @@ func (s *Server) serveResultsWS(w http.ResponseWriter, r *http.Request, reg *Reg
 		if !ok {
 			break
 		}
-		payload, err := json.Marshal(reg.itemEvent(it))
+		payload, err := marshalFinite(reg.itemEvent(it))
 		if err != nil {
 			break
 		}
