@@ -143,10 +143,10 @@ func EvaluateBatchInto(b Backend, frames []*video.Frame, dst []*Output) []*Outpu
 }
 
 // Parallel is implemented by backends whose batched evaluation can fan
-// work (rasterisation, GEMMs) across a bounded number of workers. It is
-// how the server's coalescing broker hands each evaluator a slice of one
-// shared CPU budget instead of letting every merged batch oversubscribe
-// GOMAXPROCS.
+// work (rasterisation, per-frame forward passes) across a bounded number
+// of workers. It is how the server's coalescing broker hands each
+// evaluator a slice of one shared CPU budget instead of letting every
+// merged batch oversubscribe GOMAXPROCS.
 type Parallel interface {
 	Backend
 	// SetEvalWorkers bounds the workers one EvaluateBatch call may use;

@@ -316,8 +316,9 @@ func (t *Trained) Technique() Technique { return t.Tech }
 func (t *Trained) Grid() int { return t.Net.Grid() }
 
 // SetEvalWorkers implements Parallel: it bounds the workers one
-// EvaluateBatch may spend on rasterisation and GEMMs (0 restores the
-// GOMAXPROCS default). Worker count never changes output bytes.
+// EvaluateBatch may spend on rasterisation and forward-pass frame tiles
+// (0 restores the GOMAXPROCS default). Worker count never changes output
+// bytes.
 func (t *Trained) SetEvalWorkers(n int) { t.arena.Workers = n }
 
 // ForwardFlops implements Parallel: the per-frame multiply-add estimate
@@ -335,8 +336,8 @@ func (t *Trained) Evaluate(f *video.Frame) *Output {
 }
 
 // EvaluateBatch implements BatchBackend: the frames are rasterised into
-// one NCHW batch and pushed through a single ForwardBatch — one GEMM per
-// layer for the whole batch, no per-frame allocations — with the total
+// one NCHW batch and pushed through a single ForwardBatch — frames fanned
+// across the worker budget, no per-frame allocations — with the total
 // virtual cost charged in one clock transaction. Outputs are appended to
 // dst per the interface's aliasing rule.
 func (t *Trained) EvaluateBatch(frames []*video.Frame, dst []*Output) []*Output {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"vmq/internal/tensor"
@@ -155,7 +156,7 @@ func TestForwardBatchAllocs(t *testing.T) {
 }
 
 // A pinned arena worker budget must never change output bytes — workers
-// partition GEMM columns, and each column's accumulation order is fixed —
+// claim whole frames, and each frame's accumulation order is fixed —
 // and ForwardFlops must track the architecture monotonically (it is the
 // broker's fan-out threshold).
 func TestArenaWorkersBitIdenticalAndForwardFlops(t *testing.T) {
@@ -193,5 +194,164 @@ func TestArenaWorkersBitIdenticalAndForwardFlops(t *testing.T) {
 	cof := NewCountOnlyNet(rng, 3, img)
 	if cfl := cof.ForwardFlops(3, img, img); cfl <= 0 {
 		t.Fatalf("CountOnlyNet.ForwardFlops = %d, want positive", cfl)
+	}
+}
+
+// Frame tiles must not change a single output bit: for every batch size
+// and worker count, CountLocNet, CountOnlyNet and a flattening Sequential
+// reproduce per-frame Forward exactly. One arena per network is reused
+// across growing and shrinking batch widths and worker counts, so stale
+// child arenas and regrown outputs are exercised too.
+func TestForwardBatchTilesMatchForward(t *testing.T) {
+	rng := rand.New(rand.NewPCG(35, 0))
+	const img, d, classes = 16, 8, 3
+	sizes := []int{1, 2, 5, 28, 33, 5, 1}
+	workers := []int{0, 1, 2, 3, 8}
+	batch, frames := randomFrames(rng, 33, 3, img)
+	prefix := func(nb int) *tensor.Tensor {
+		return tensor.FromSlice(batch.Data[:nb*3*img*img], nb, 3, img, img)
+	}
+	bits := math.Float32bits
+
+	t.Run("CountLocNet", func(t *testing.T) {
+		net := NewCountLocNet(rng, ODBackbone(rng, 3, img, d), d, img/4, classes)
+		wantC := make([][]float32, len(frames))
+		wantM := make([][]float32, len(frames))
+		for f, fr := range frames {
+			c, m := net.Forward(fr)
+			wantC[f], wantM[f] = c.Data, m.Data
+		}
+		ar := &Arena{}
+		for _, nb := range sizes {
+			for _, w := range workers {
+				ar.Workers = w
+				ar.Reset()
+				counts, maps := net.ForwardBatch(ar, prefix(nb))
+				if counts.Shape[0] != nb || maps.Shape[0] != nb {
+					t.Fatalf("nb=%d workers=%d: shapes %v %v", nb, w, counts.Shape, maps.Shape)
+				}
+				for f := 0; f < nb; f++ {
+					for i, v := range wantC[f] {
+						if got := counts.Data[f*classes+i]; bits(got) != bits(v) {
+							t.Fatalf("nb=%d workers=%d frame %d count %d = %g, want %g", nb, w, f, i, got, v)
+						}
+					}
+					for i, v := range wantM[f] {
+						if got := maps.Data[f*len(wantM[f])+i]; bits(got) != bits(v) {
+							t.Fatalf("nb=%d workers=%d frame %d map %d = %g, want %g", nb, w, f, i, got, v)
+						}
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("CountOnlyNet", func(t *testing.T) {
+		net := NewCountOnlyNet(rng, 3, img)
+		want := make([]float64, len(frames))
+		for f, fr := range frames {
+			want[f] = net.Forward(fr)
+		}
+		ar := &Arena{}
+		for _, nb := range sizes {
+			for _, w := range workers {
+				ar.Workers = w
+				ar.Reset()
+				out := net.ForwardBatch(ar, prefix(nb))
+				if out.Rank() != 1 || out.Shape[0] != nb {
+					t.Fatalf("nb=%d workers=%d: shape %v", nb, w, out.Shape)
+				}
+				for f := 0; f < nb; f++ {
+					if got := float64(out.Data[f]); got != want[f] {
+						t.Fatalf("nb=%d workers=%d frame %d total = %g, want %g", nb, w, f, got, want[f])
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("SequentialFlatten", func(t *testing.T) {
+		seq := &Sequential{Layers: []Layer{
+			NewConv2D(rng, 3, 4, 3, 1, 1),
+			NewLeakyReLU(0.1),
+			&MaxPool{K: 2},
+			NewLinear(rng, 4*(img/2)*(img/2), 5),
+			&ReLU{},
+		}}
+		want := make([]*tensor.Tensor, len(frames))
+		for f, fr := range frames {
+			want[f] = seq.Forward(fr)
+		}
+		ar := &Arena{}
+		for _, nb := range sizes {
+			for _, w := range workers {
+				ar.Workers = w
+				ar.Reset()
+				out := seq.ForwardBatch(ar, prefix(nb))
+				if out.Rank() != 2 || out.Shape[0] != nb || out.Shape[1] != 5 {
+					t.Fatalf("nb=%d workers=%d: shape %v", nb, w, out.Shape)
+				}
+				for f := 0; f < nb; f++ {
+					for o, v := range want[f].Data {
+						if got := out.Data[f*5+o]; bits(got) != bits(v) {
+							t.Fatalf("nb=%d workers=%d frame %d out %d = %g, want %g", nb, w, f, o, got, v)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// A warmed single-worker ForwardBatch allocates nothing, and fanning out
+// costs a fixed number of allocations per worker — never per frame.
+func TestForwardBatchTileAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(36, 0))
+	const img, d, classes = 16, 8, 2
+	net := NewCountLocNet(rng, ODBackbone(rng, 3, img, d), d, img/4, classes)
+	batch, _ := randomFrames(rng, 64, 3, img)
+	allocs := func(workers, nb int) float64 {
+		ar := &Arena{Workers: workers}
+		in := tensor.FromSlice(batch.Data[:nb*3*img*img], nb, 3, img, img)
+		net.ForwardBatch(ar, in) // warm the arenas
+		return testing.AllocsPerRun(5, func() {
+			ar.Reset()
+			net.ForwardBatch(ar, in)
+		})
+	}
+	for _, nb := range []int{1, 8, 64} {
+		if a := allocs(1, nb); a != 0 {
+			t.Errorf("Workers=1 batch=%d: %.0f allocations per warmed pass, want 0", nb, a)
+		}
+	}
+	const perWorker = 4
+	for _, w := range []int{2, 4} {
+		for _, nb := range []int{w, 64} {
+			if a := allocs(w, nb); a > perWorker*float64(w) {
+				t.Errorf("Workers=%d batch=%d: %.0f allocations per warmed pass, want <= %d", w, nb, a, perWorker*w)
+			}
+		}
+	}
+}
+
+// unbatchable is a layer ForwardBatch has no path for.
+type unbatchable struct{ ReLU }
+
+// A tile that panics on a worker goroutine must surface as a panic on the
+// caller's goroutine — where the coalescing broker's isolation can
+// recover it — after every worker has stopped, not crash the process.
+func TestForwardBatchTilePanicReachesCaller(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 0))
+	seq := &Sequential{Layers: []Layer{NewConv2D(rng, 3, 2, 3, 1, 1), &unbatchable{}}}
+	batch, _ := randomFrames(rng, 6, 3, 8)
+	for _, w := range []int{1, 3} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "no batched path") {
+					t.Errorf("Workers=%d: recovered %q, want the no-batched-path panic", w, msg)
+				}
+			}()
+			seq.ForwardBatch(&Arena{Workers: w}, batch)
+		}()
 	}
 }

@@ -88,3 +88,23 @@ func BenchmarkCountLocNetTrainStep(b *testing.B) {
 		opt.Step()
 	}
 }
+
+// BenchmarkForwardBatchFleet measures ForwardBatch at the trained
+// backends' default geometry: the OD CountLocNet at 48 px with 24
+// channels over a 28-frame batch, the shape a coalesced multi-feed flush
+// hands the filter. Run with -cpu 1,2 to see the frame tiles fan out.
+func BenchmarkForwardBatchFleet(b *testing.B) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	const img, d, classes, batchN = 48, 24, 4, 28
+	net := NewCountLocNet(rng, ODBackbone(rng, 3, img, d), d, img/4, classes)
+	batch := tensor.New(batchN, 3, img, img)
+	batch.RandN(rng, 1)
+	ar := &Arena{}
+	net.ForwardBatch(ar, batch) // warm the arena
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ar.Reset()
+		net.ForwardBatch(ar, batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(batchN*b.N), "us/frame")
+}

@@ -63,9 +63,10 @@ type Config struct {
 	// given the number of distinct submitters it coalesced. The broker
 	// applies it (via filters.SetEvalWorkers) only to flushes whose
 	// estimated cost reaches ParallelFlops — smaller merges evaluate
-	// single-threaded, where the GEMM is too small to pay for fan-out.
+	// single-threaded, where the batch is too small to pay for fanning
+	// its frames across cores.
 	// nil leaves evaluator defaults untouched (size to GOMAXPROCS). The
-	// server wires this to its budgeter so coalesced GEMMs and per-feed
+	// server wires this to its budgeter so coalesced batches and per-feed
 	// scans share one CPU budget instead of oversubscribing.
 	//
 	// A flush merged from every live submitter may use the whole budget,

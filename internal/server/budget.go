@@ -234,8 +234,8 @@ func (b *budgeter) rebalanceLocked() {
 	}
 }
 
-// coalesceShare sizes the GEMM worker budget for one merged cross-feed
-// batch. The coalescing broker reports how many distinct feeds
+// coalesceShare sizes the forward-pass worker budget for one merged
+// cross-feed batch. The coalescing broker reports how many distinct feeds
 // contributed frames, and the batch gets those feeds' combined slice of
 // the machine — total×distinct/live — so a batch merged from every live
 // feed may use the whole budget while a batch from one feed of many

@@ -39,23 +39,21 @@ func biasReLU8(seg *float32, n int, b float32)
 //go:noescape
 func biasLeaky8(seg *float32, n int, b, slope float32)
 
-// maxPool2x8 writes n outputs (n a positive multiple of 8) of one 2×2
-// stride-2 pooling row: dst[x] = fold-max of r0[2x], r0[2x+1], r1[2x],
-// r1[2x+1] in reference order. Even/odd lanes are deinterleaved with
-// VSHUFPS, folded with three VMAXPS in the scalar loop's order, and
-// restored with one VPERMPD per block.
+// maxPool2x8 writes n >= 1 outputs of one 2×2 stride-2 pooling row:
+// dst[x] = fold-max of r0[2x], r0[2x+1], r1[2x], r1[2x+1] in reference
+// order. Even/odd lanes are deinterleaved with VSHUFPS, folded with three
+// VMAXPS in the scalar loop's order, and restored with one VPERMPD per
+// block; the n%8 tail runs the same fold through VMASKMOVPS loads and
+// stores that touch no element past r0[2n-1], r1[2n-1] or dst[n-1].
 //
 //go:noescape
 func maxPool2x8(dst, r0, r1 *float32, n int)
 
 // maxPool2RowAVX2 is the 8-wide dispatch target for the k=2 pooling row.
 func maxPool2RowAVX2(dst, r0, r1 []float32) {
-	n8 := len(dst) &^ 7
-	if n8 > 0 {
-		maxPool2x8(&dst[0], &r0[0], &r1[0], n8)
-	}
-	if n8 < len(dst) {
-		maxPool2RowGeneric(dst[n8:], r0[2*n8:], r1[2*n8:])
+	if len(dst) > 0 {
+		_, _ = r0[2*len(dst)-1], r1[2*len(dst)-1] // the asm trusts n
+		maxPool2x8(&dst[0], &r0[0], &r1[0], len(dst))
 	}
 }
 
@@ -93,9 +91,9 @@ func biasReLU16(seg *float32, n int, b float32)
 //go:noescape
 func biasLeaky16(seg *float32, n int, b, slope float32)
 
-// maxPool2x16 writes n outputs (n a positive multiple of 16) of one 2×2
-// stride-2 pooling row using VPERMT2PS deinterleaves and the reference
-// VMAXPS fold order.
+// maxPool2x16 writes n >= 1 outputs of one 2×2 stride-2 pooling row using
+// VPERMT2PS deinterleaves and the reference VMAXPS fold order; the n%16
+// tail runs the same fold through opmask loads and stores.
 //
 //go:noescape
 func maxPool2x16(dst, r0, r1 *float32, n int)
@@ -209,12 +207,9 @@ func epilogueRowAVX512(seg []float32, b float32, act Act, slope float32) {
 
 // maxPool2RowAVX512 is the 16-wide dispatch target for the k=2 pooling row.
 func maxPool2RowAVX512(dst, r0, r1 []float32) {
-	n16 := len(dst) &^ 15
-	if n16 > 0 {
-		maxPool2x16(&dst[0], &r0[0], &r1[0], n16)
-	}
-	if n16 < len(dst) {
-		maxPool2RowGeneric(dst[n16:], r0[2*n16:], r1[2*n16:])
+	if len(dst) > 0 {
+		_, _ = r0[2*len(dst)-1], r1[2*len(dst)-1] // the asm trusts n
+		maxPool2x16(&dst[0], &r0[0], &r1[0], len(dst))
 	}
 }
 

@@ -276,45 +276,90 @@ leaky8loop:
 
 // func maxPool2x8(dst, r0, r1 *float32, n int)
 //
-// One 2×2 stride-2 pooling row, 8 outputs per iteration. Each block loads
-// 16 floats of each input row, splits even/odd taps with VSHUFPS (which
-// leaves the four output pairs in a lane-crossed qword order), folds the
-// four tap vectors with VMAXPS in the scalar reference's exact order —
-// Intel MAXPS returns the second source unless the first is strictly
-// greater, which is precisely the `if v > best` fold, ties, signed zeros
-// and NaN included — and restores output order with one VPERMPD.
+// One 2×2 stride-2 pooling row of n >= 1 outputs, 8 per iteration. Each
+// block loads 16 floats of each input row, splits even/odd taps with
+// VSHUFPS (which leaves the four output pairs in a lane-crossed qword
+// order), folds the four tap vectors with VMAXPS in the scalar reference's
+// exact order — Intel MAXPS returns the second source unless the first is
+// strictly greater, which is precisely the `if v > best` fold, ties,
+// signed zeros and NaN included — and restores output order with one
+// VPERMPD. The last n%8 outputs run the same fold on VMASKMOVPS loads and
+// a VMASKMOVPS store: masked-off lanes are neither read (loads of them
+// cannot fault) nor written, and only feed output lanes the store drops.
+// POOL8_FOLD deinterleaves r0 (Y0:Y1) and r1 (Y6:Y7) into even/odd taps
+// and folds them into Y2: best = r0even, then max(r0odd, best), max(r1even,
+// best), max(r1odd, best) — the running best is VMAXPS's second source,
+// kept unless the new tap is strictly greater — and undoes the VSHUFPS
+// qword scramble.
+#define POOL8_FOLD \
+	VSHUFPS $0x88, Y1, Y0, Y2 \
+	VSHUFPS $0xDD, Y1, Y0, Y3 \
+	VSHUFPS $0x88, Y7, Y6, Y4 \
+	VSHUFPS $0xDD, Y7, Y6, Y5 \
+	VMAXPS  Y2, Y3, Y2        \
+	VMAXPS  Y2, Y4, Y2        \
+	VMAXPS  Y2, Y5, Y2        \
+	VPERMPD $0xD8, Y2, Y2
+
 TEXT ·maxPool2x8(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ r0+8(FP), SI
 	MOVQ r1+16(FP), DX
 	MOVQ n+24(FP), CX
+	CMPQ CX, $8
+	JL   pool8tail
 
 pool8loop:
-	VMOVUPS (SI), Y0           // r0[0:8]
-	VMOVUPS 32(SI), Y1         // r0[8:16]
-	VSHUFPS $0x88, Y1, Y0, Y2  // r0 even taps  (qword-scrambled)
-	VSHUFPS $0xDD, Y1, Y0, Y3  // r0 odd taps
-	VMOVUPS (DX), Y0           // r1[0:8]
-	VMOVUPS 32(DX), Y1         // r1[8:16]
-	VSHUFPS $0x88, Y1, Y0, Y4  // r1 even taps
-	VSHUFPS $0xDD, Y1, Y0, Y5  // r1 odd taps
-
-	// best = r0even; best = max(r0odd, best); ... — SRC2 is the running
-	// best, so each VMAXPS keeps it unless the new tap is strictly greater.
-	VMAXPS  Y2, Y3, Y2
-	VMAXPS  Y2, Y4, Y2
-	VMAXPS  Y2, Y5, Y2
-	VPERMPD $0xD8, Y2, Y2      // undo the VSHUFPS qword scramble
+	VMOVUPS (SI), Y0   // r0[0:8]
+	VMOVUPS 32(SI), Y1 // r0[8:16]
+	VMOVUPS (DX), Y6   // r1[0:8]
+	VMOVUPS 32(DX), Y7 // r1[8:16]
+	POOL8_FOLD
 	VMOVUPS Y2, (DI)
 
 	ADDQ $64, SI
 	ADDQ $64, DX
 	ADDQ $32, DI
 	SUBQ $8, CX
-	JG   pool8loop
+	CMPQ CX, $8
+	JGE  pool8loop
 
+pool8tail:
+	TESTQ CX, CX
+	JZ    pool8done
+
+	// Lane masks from lane indices: out = idx < n, lo = idx < 2n,
+	// hi = idx+8 < 2n (all-ones lanes select, per VMASKMOVPS's sign bit).
+	VMOVDQU      ·iota8<>(SB), Y8
+	VMOVDQU      ·iota8<>+32(SB), Y9
+	MOVQ         CX, X10
+	VPBROADCASTD X10, Y10
+	VPCMPGTD     Y8, Y10, Y13 // out mask
+	VPADDD       Y10, Y10, Y10
+	VPCMPGTD     Y8, Y10, Y11 // r[0:8] mask
+	VPCMPGTD     Y9, Y10, Y12 // r[8:16] mask
+
+	VMASKMOVPS (SI), Y11, Y0
+	VMASKMOVPS 32(SI), Y12, Y1
+	VMASKMOVPS (DX), Y11, Y6
+	VMASKMOVPS 32(DX), Y12, Y7
+	POOL8_FOLD
+	VMASKMOVPS Y2, Y13, (DI)
+
+pool8done:
 	VZEROUPPER
 	RET
+
+// Lane indices 0..15 as int32, for the AVX2 tail masks.
+GLOBL ·iota8<>(SB), RODATA, $64
+DATA ·iota8<>+0(SB)/8, $0x0000000100000000
+DATA ·iota8<>+8(SB)/8, $0x0000000300000002
+DATA ·iota8<>+16(SB)/8, $0x0000000500000004
+DATA ·iota8<>+24(SB)/8, $0x0000000700000006
+DATA ·iota8<>+32(SB)/8, $0x0000000900000008
+DATA ·iota8<>+40(SB)/8, $0x0000000B0000000A
+DATA ·iota8<>+48(SB)/8, $0x0000000D0000000C
+DATA ·iota8<>+56(SB)/8, $0x0000000F0000000E
 
 // func axpy16(d0, d1, d2, d3, b *float32, n int, v0, v1, v2, v3 float32)
 //
@@ -595,13 +640,29 @@ DATA ·permOdd16<>+56(SB)/8, $0x0000001F0000001D
 
 // func maxPool2x16(dst, r0, r1 *float32, n int)
 //
-// One 2×2 stride-2 pooling row, 16 outputs per iteration. Each block
-// loads 32 floats of each input row and deinterleaves even/odd taps with
-// VPERMT2PS (a full cross-lane permute, so unlike the AVX2 VSHUFPS path
-// the taps land directly in output order — no VPERMPD repair needed),
-// then folds the four tap vectors with VMAXPS in the scalar reference's
-// exact order: the running best is the second source, kept unless the
-// new tap is strictly greater, ties, signed zeros and NaN included.
+// One 2×2 stride-2 pooling row of n >= 1 outputs, 16 per iteration. Each
+// block loads 32 floats of each input row and deinterleaves even/odd taps
+// with VPERMT2PS (a full cross-lane permute, so unlike the AVX2 VSHUFPS
+// path the taps land directly in output order — no VPERMPD repair
+// needed), then folds the four tap vectors with VMAXPS in the scalar
+// reference's exact order: the running best is the second source, kept
+// unless the new tap is strictly greater, ties, signed zeros and NaN
+// included. The last n%16 outputs run the same fold on opmask loads
+// (zeroing, fault-suppressing) and an opmask store, so no output is left
+// to a scalar loop.
+#define POOL16_FOLD \
+	VMOVAPS   Z0, Z2     \
+	VPERMT2PS Z1, Z8, Z2 \
+	VMOVAPS   Z0, Z3     \
+	VPERMT2PS Z1, Z9, Z3 \
+	VMOVAPS   Z6, Z4     \
+	VPERMT2PS Z7, Z8, Z4 \
+	VMOVAPS   Z6, Z5     \
+	VPERMT2PS Z7, Z9, Z5 \
+	VMAXPS    Z2, Z3, Z2 \
+	VMAXPS    Z2, Z4, Z2 \
+	VMAXPS    Z2, Z5, Z2
+
 TEXT ·maxPool2x16(SB), NOSPLIT, $0-32
 	MOVQ    dst+0(FP), DI
 	MOVQ    r0+8(FP), SI
@@ -609,32 +670,51 @@ TEXT ·maxPool2x16(SB), NOSPLIT, $0-32
 	MOVQ    n+24(FP), CX
 	VMOVUPS ·permEven16<>(SB), Z8
 	VMOVUPS ·permOdd16<>(SB), Z9
+	CMPQ    CX, $16
+	JL      pool16tail
 
 pool16loop:
-	VMOVUPS   (SI), Z0   // r0[0:16]
-	VMOVUPS   64(SI), Z1 // r0[16:32]
-	VMOVAPS   Z0, Z2
-	VPERMT2PS Z1, Z8, Z2 // r0 even taps
-	VMOVAPS   Z0, Z3
-	VPERMT2PS Z1, Z9, Z3 // r0 odd taps
-	VMOVUPS   (DX), Z0   // r1[0:16]
-	VMOVUPS   64(DX), Z1 // r1[16:32]
-	VMOVAPS   Z0, Z4
-	VPERMT2PS Z1, Z8, Z4 // r1 even taps
-	VMOVAPS   Z0, Z5
-	VPERMT2PS Z1, Z9, Z5 // r1 odd taps
-
-	VMAXPS  Z2, Z3, Z2
-	VMAXPS  Z2, Z4, Z2
-	VMAXPS  Z2, Z5, Z2
+	VMOVUPS (SI), Z0   // r0[0:16]
+	VMOVUPS 64(SI), Z1 // r0[16:32]
+	VMOVUPS (DX), Z6   // r1[0:16]
+	VMOVUPS 64(DX), Z7 // r1[16:32]
+	POOL16_FOLD
 	VMOVUPS Z2, (DI)
 
 	ADDQ $128, SI
 	ADDQ $128, DX
 	ADDQ $64, DI
 	SUBQ $16, CX
-	JG   pool16loop
+	CMPQ CX, $16
+	JGE  pool16loop
 
+pool16tail:
+	TESTQ CX, CX
+	JZ    pool16done
+
+	// K1 = low n bits (outputs); the 2n input lanes span K2 (low 16) and
+	// K3 (next 16).
+	MOVQ  CX, BX
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	LEAQ  (BX)(BX*1), CX
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K2
+	SHRQ  $16, AX
+	KMOVW AX, K3
+
+	VMOVUPS.Z (SI), K2, Z0
+	VMOVUPS.Z 64(SI), K3, Z1
+	VMOVUPS.Z (DX), K2, Z6
+	VMOVUPS.Z 64(DX), K3, Z7
+	POOL16_FOLD
+	VMOVUPS   Z2, K1, (DI)
+
+pool16done:
 	VZEROUPPER
 	RET
 

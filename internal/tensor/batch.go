@@ -1,45 +1,29 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Batched inference layout
 //
-// The batched forward pass keeps activations in feature-major order:
-// a batch of N CHW frames is stored as C×N×H×W, so channel c of frame n is
-// the contiguous plane at (c·N+n)·H·W. This is the one layout in which
-// every layer of the branch networks is a single pass with no transposes
-// between layers: Im2ColBatchInto emits columns grouped per frame, the
-// convolution GEMM's output (outC × N·OH·OW) is already the next layer's
-// feature-major input, pooling and GAP reduce contiguous planes, and the
-// FC head is one more GEMM over the C×N pooled matrix. Batch-major NCHW
-// (the public API layout, batch dimension leading) is converted at the
-// boundary with SwapBatchChannel.
+// The batched kernels take activations in feature-major order: a batch of
+// N CHW frames is stored as C×N×H×W, so channel c of frame n is the
+// contiguous plane at (c·N+n)·H·W. In that layout every layer of the
+// branch networks is a single pass with no transposes between layers:
+// Im2ColBatchInto emits columns grouped per frame, the convolution GEMM's
+// output (outC × N·OH·OW) is already the next layer's feature-major input,
+// and pooling and GAP reduce contiguous planes. nn.ForwardBatch runs them
+// on one-frame tiles (N = 1), where C×1×H×W is byte-for-byte the CHW
+// frame, so no conversion is needed at either end.
 
-// SwapBatchChannel transposes the two leading axes of in (at least rank 2)
-// into dst: N×C×rest becomes C×N×rest and vice versa. The trailing axes
-// are treated as one contiguous plane. dst must have the same length as
-// in; a nil dst allocates. It returns dst.
-func SwapBatchChannel(dst, in *Tensor) *Tensor {
-	if in.Rank() < 2 {
-		panic(fmt.Sprintf("tensor: SwapBatchChannel needs rank >= 2, got %v", in.Shape))
+// setShape gives t the shape dims, keeping t.Shape when it already
+// matches so the *Into kernels do not allocate on reused scratch tensors.
+// A differing shape gets a fresh slice: t.Shape may be shared.
+func setShape(t *Tensor, dims ...int) {
+	if !slices.Equal(t.Shape, dims) {
+		t.Shape = append([]int(nil), dims...)
 	}
-	d0, d1 := in.Shape[0], in.Shape[1]
-	plane := in.Len() / (d0 * d1)
-	outShape := append([]int{d1, d0}, in.Shape[2:]...)
-	if dst == nil {
-		dst = New(outShape...)
-	} else {
-		if dst.Len() != in.Len() {
-			panic(fmt.Sprintf("tensor: SwapBatchChannel dst length %d, want %d", dst.Len(), in.Len()))
-		}
-		dst.Shape = outShape
-	}
-	for i := 0; i < d0; i++ {
-		for j := 0; j < d1; j++ {
-			copy(dst.Data[(j*d0+i)*plane:(j*d0+i+1)*plane], in.Data[(i*d1+j)*plane:(i*d1+j+1)*plane])
-		}
-	}
-	return dst
 }
 
 // Im2ColInto unrolls input (C×H×W) into dst of shape (C·KH·KW)×(OH·OW)
@@ -84,21 +68,30 @@ func im2colPlanes(dst *Tensor, data []float32, c, n, h, w int, p ConvParams) *Te
 		if dst.Len() != rows*cols {
 			panic(fmt.Sprintf("tensor: im2col dst length %d, want %d", dst.Len(), rows*cols))
 		}
-		dst.Shape = []int{rows, cols}
+		setShape(dst, rows, cols)
 	}
+	same := p.Stride == 1 && ow == w
 	row := 0
 	for ci := 0; ci < c; ci++ {
 		for ky := 0; ky < p.KH; ky++ {
 			for kx := 0; kx < p.KW; kx++ {
+				off := kx - p.Padding
+				if same {
+					for f := 0; f < n; f++ {
+						im2colShift(dst.Data[row*cols+f*oh*ow:row*cols+(f+1)*oh*ow],
+							data[(ci*n+f)*h*w:(ci*n+f+1)*h*w], h, w, oh, ky-p.Padding, off)
+					}
+					row++
+					continue
+				}
 				// Precompute the ox range whose input column is in bounds:
 				// 0 <= ox*stride + kx - padding < w. Outside it the tap is
 				// padding; inside, stride 1 is a straight copy.
-				off := kx - p.Padding
 				ox0 := 0
 				if off < 0 {
 					ox0 = (-off + p.Stride - 1) / p.Stride
 				}
-				ox1 := (w - 1 - off) / p.Stride
+				ox1 := floorDiv(w-1-off, p.Stride)
 				if ox1 >= ow {
 					ox1 = ow - 1
 				}
@@ -137,6 +130,41 @@ func im2colPlanes(dst *Tensor, data []float32, c, n, h, w int, p ConvParams) *Te
 	return dst
 }
 
+// im2colShift unrolls one tap of a stride-1 convolution whose output rows
+// are as wide as its input rows (same padding): out[oy·w+ox] =
+// in[(oy+dy)·w + ox+dx], zero where that lies outside the h×w plane.
+// Because the rows line up, every in-range output row is the input
+// shifted by one constant offset, so the tap is a single copy of the
+// in-range rows, zeros for the rows above and below, and a zeroing of the
+// |dx| columns per row that the shift wrapped in from the neighbouring
+// row.
+func im2colShift(out, in []float32, h, w, oh, dy, dx int) {
+	oy0, oy1 := max(0, -dy), min(oh, h-dy) // in-range output rows [oy0, oy1)
+	if oy0 >= oy1 {
+		clear(out)
+		return
+	}
+	clear(out[:oy0*w])
+	clear(out[oy1*w:])
+	start, end := oy0*w+max(0, -dx), oy1*w-max(0, dx)
+	if start < end {
+		shift := dy*w + dx
+		copy(out[start:end], in[start+shift:end+shift])
+	}
+	edge := min(w, max(dx, -dx))
+	if edge == 0 {
+		return
+	}
+	for oy := oy0; oy < oy1; oy++ {
+		r := out[oy*w : (oy+1)*w]
+		if dx < 0 {
+			clear(r[:edge])
+		} else {
+			clear(r[w-edge:])
+		}
+	}
+}
+
 // MaxPool2DBatchInto applies non-overlapping k×k max pooling to a
 // feature-major batch (C×N×H×W), writing C×N×(H/k)×(W/k) into dst. No
 // argmax indices are produced — this is the inference path. A nil dst
@@ -159,7 +187,7 @@ func MaxPool2DBatchInto(dst, in *Tensor, k int) *Tensor {
 		if dst.Len() != c*n*oh*ow {
 			panic(fmt.Sprintf("tensor: MaxPool2DBatchInto dst length %d, want %d", dst.Len(), c*n*oh*ow))
 		}
-		dst.Shape = []int{c, n, oh, ow}
+		setShape(dst, c, n, oh, ow)
 	}
 	for pl := 0; pl < c*n; pl++ {
 		chn := in.Data[pl*h*w : (pl+1)*h*w]
@@ -208,7 +236,7 @@ func GlobalAvgPoolBatchInto(dst, in *Tensor) *Tensor {
 		if dst.Len() != c*n {
 			panic(fmt.Sprintf("tensor: GlobalAvgPoolBatchInto dst length %d, want %d", dst.Len(), c*n))
 		}
-		dst.Shape = []int{c, n}
+		setShape(dst, c, n)
 	}
 	area := float32(h * w)
 	for pl := 0; pl < c*n; pl++ {

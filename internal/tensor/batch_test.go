@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -34,9 +35,6 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 		dirty := New(m, n)
 		dirty.Fill(999)
 		requireBitEqual(t, "MatMulInto reuse", MatMulInto(dirty, a, b), want)
-		for workers := 1; workers <= 5; workers++ {
-			requireBitEqual(t, "MatMulParallel", MatMulParallel(nil, a, b, workers), want)
-		}
 	}
 }
 
@@ -54,9 +52,8 @@ func requireBitEqual(t *testing.T, label string, got, want *Tensor) {
 
 // Property test for the whole batched convolution lowering: for random
 // batch sizes, channel counts, spatial sizes, kernels, strides and
-// paddings, Im2ColBatchInto + the parallel blocked GEMM must match the
-// direct Conv2DNaive reference on every frame of the batch. Run under
-// -race this also proves the column-partitioned workers never overlap.
+// paddings, Im2ColBatchInto + the blocked GEMM must match the direct
+// Conv2DNaive reference on every frame of the batch.
 func TestBatchedConvMatchesNaivePerFrame(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 0))
 	for trial := 0; trial < 30; trial++ {
@@ -89,11 +86,11 @@ func TestBatchedConvMatchesNaivePerFrame(t *testing.T) {
 		bias := New(outC)
 		bias.RandN(rng, 0.5)
 
-		// Batched path: im2col into a dirty scratch, one parallel GEMM.
+		// Batched path: im2col into a dirty scratch, one GEMM.
 		cols := New(c*kk*kk, batch*oh*ow)
 		cols.Fill(7)
 		Im2ColBatchInto(cols, fm, p)
-		out := MatMulParallel(nil, weights.Reshape(outC, c*kk*kk), cols, 4)
+		out := MatMulInto(nil, weights.Reshape(outC, c*kk*kk), cols)
 		for o := 0; o < outC; o++ {
 			row := out.Data[o*batch*oh*ow : (o+1)*batch*oh*ow]
 			for i := range row {
@@ -164,24 +161,69 @@ func TestBatchedPoolingMatchesSingle(t *testing.T) {
 	}
 }
 
-// SwapBatchChannel is an involution that actually transposes.
-func TestSwapBatchChannel(t *testing.T) {
-	rng := rand.New(rand.NewPCG(14, 0))
-	in := New(3, 5, 2, 4)
-	in.RandN(rng, 1)
-	out := SwapBatchChannel(nil, in)
-	if out.Shape[0] != 5 || out.Shape[1] != 3 {
-		t.Fatalf("swapped shape %v", out.Shape)
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 5; j++ {
-			for s := 0; s < 8; s++ {
-				if out.Data[(j*3+i)*8+s] != in.Data[(i*5+j)*8+s] {
-					t.Fatalf("swap mismatch at (%d,%d,%d)", i, j, s)
+// Im2ColBatchInto must reproduce the per-frame Im2Col unroll exactly for
+// every frame of a feature-major batch, over random kernels, strides,
+// paddings and sizes — including the stride-1 same-padding shift path and
+// kernels wider than the input that padding rescues.
+func TestIm2ColBatchMatchesPerFrame(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 0))
+	for trial := 0; trial < 400; trial++ {
+		kh, kw := 1+rng.IntN(5), 1+rng.IntN(5)
+		p := ConvParams{KH: kh, KW: kw, Stride: 1 + rng.IntN(3), Padding: rng.IntN(4)}
+		if trial%3 == 0 { // same padding: odd kernel, stride 1, ow == w
+			kw = 1 + 2*rng.IntN(3)
+			p = ConvParams{KH: kh, KW: kw, Stride: 1, Padding: kw / 2}
+		}
+		c, n := 1+rng.IntN(3), 1+rng.IntN(4)
+		h, w := 1+rng.IntN(9), 1+rng.IntN(9)
+		oh, ow := p.OutSize(h, w)
+		if oh <= 0 || ow <= 0 {
+			continue
+		}
+		fm := New(c, n, h, w)
+		fm.RandN(rng, 1)
+		cols := New(c*kh*kw, n*oh*ow)
+		cols.Fill(7) // dirty scratch
+		Im2ColBatchInto(cols, fm, p)
+		for f := 0; f < n; f++ {
+			frame := New(c, h, w)
+			for ci := 0; ci < c; ci++ {
+				copy(frame.Data[ci*h*w:(ci+1)*h*w], fm.Data[(ci*n+f)*h*w:(ci*n+f+1)*h*w])
+			}
+			want := Im2Col(frame, p)
+			for r := 0; r < c*kh*kw; r++ {
+				for s := 0; s < oh*ow; s++ {
+					got := cols.Data[r*n*oh*ow+f*oh*ow+s]
+					if math.Float32bits(got) != math.Float32bits(want.Data[r*oh*ow+s]) {
+						t.Fatalf("trial %d %+v c=%d n=%d %dx%d: frame %d row %d col %d = %g, want %g",
+							trial, p, c, n, h, w, f, r, s, got, want.Data[r*oh*ow+s])
+					}
 				}
 			}
 		}
 	}
-	back := SwapBatchChannel(New(3, 5, 2, 4), out)
-	requireBitEqual(t, "swap involution", back, in)
+}
+
+// A kernel wider than its padded input by less than the stride has no
+// output. OutSize must say so, and both unroll paths must reject the
+// geometry with the typed non-positive-output panic rather than produce a
+// one-pixel output (per frame) or index out of range (batched).
+func TestConvOutSizeRejectsKernelWiderThanInput(t *testing.T) {
+	p := ConvParams{KH: 2, KW: 2, Stride: 2}
+	if oh, ow := p.OutSize(1, 1); oh > 0 || ow > 0 {
+		t.Fatalf("2x2 stride-2 on 1x1: OutSize = %dx%d, want non-positive", oh, ow)
+	}
+	mustPanicWith := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, "non-positive") {
+				t.Errorf("%s: panic %v, want the non-positive output panic", name, r)
+			}
+		}()
+		f()
+	}
+	mustPanicWith("Im2Col", func() { Im2Col(New(1, 1, 1), p) })
+	mustPanicWith("Im2ColBatchInto", func() { Im2ColBatchInto(nil, New(1, 3, 1, 1), p) })
 }

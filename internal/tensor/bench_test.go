@@ -42,16 +42,6 @@ func BenchmarkMatMulNaiveLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulParallel adds the column fan-out; run with -cpu 1,2,4.
-func BenchmarkMatMulParallel(b *testing.B) {
-	x, y := benchTensors(16, 144, 32*48*48)
-	dst := New(16, 32*48*48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulParallel(dst, x, y, 0)
-	}
-}
-
 func BenchmarkMatMulT2(b *testing.B) {
 	x, _ := benchTensors(64, 64, 64)
 	y, _ := benchTensors(64, 64, 64)

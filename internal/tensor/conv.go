@@ -10,11 +10,21 @@ type ConvParams struct {
 	Padding int
 }
 
-// OutSize returns the output spatial size for an input of h×w.
+// OutSize returns the output spatial size for an input of h×w. A kernel
+// wider than the padded input yields a non-positive size (the division
+// floors, so a deficit smaller than the stride does not round up to a
+// one-pixel output), which the unrolling kernels reject.
 func (p ConvParams) OutSize(h, w int) (oh, ow int) {
-	oh = (h+2*p.Padding-p.KH)/p.Stride + 1
-	ow = (w+2*p.Padding-p.KW)/p.Stride + 1
-	return oh, ow
+	return floorDiv(h+2*p.Padding-p.KH, p.Stride) + 1, floorDiv(w+2*p.Padding-p.KW, p.Stride) + 1
+}
+
+// floorDiv is a/b rounded toward negative infinity (b > 0).
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
 }
 
 func (p ConvParams) validate() {

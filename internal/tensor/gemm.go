@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // The blocked GEMM below is the inference hot path: Conv2D lowers to one
 // matrix multiply per layer, and with batching those multiplies are large
@@ -18,20 +14,18 @@ import (
 // Accumulation order is load-bearing: every output element is a sum of
 // terms in ascending-k order with the bias added after the sum, exactly
 // like the naive per-frame path, and that order does not depend on how
-// rows or columns are partitioned. Batched and single-frame forwards
-// therefore produce bit-identical per-frame results, and so does the
-// goroutine-parallel variant (workers split columns, never k).
-const (
-	// gemmNC is the column block: 4 dst segments of gemmNC floats plus one
-	// b-row segment must stay L1-resident across the k loop.
-	gemmNC = 1024
-	// gemmParallelFlops is the m*k*n threshold below which MatMulParallel
-	// stays single-threaded: goroutine fork/join costs more than the
-	// multiply.
-	gemmParallelFlops = 1 << 16
-	// gemmMinCols is the minimum column span handed to one worker.
-	gemmMinCols = 64
-)
+// rows or columns are blocked. Batched and single-frame forwards therefore
+// produce bit-identical per-frame results.
+//
+// The kernel is single-threaded. Multicore inference parallelises one
+// level up: nn.ForwardBatch fans whole frames across workers, so every
+// layer of a frame — im2col, GEMM, pooling — runs on one core with its
+// working set in that core's cache, instead of only the GEMMs splitting
+// columns while everything between them runs serially.
+
+// gemmNC is the column block: 4 dst segments of gemmNC floats plus one
+// b-row segment must stay L1-resident across the k loop.
+const gemmNC = 1024
 
 // Act selects the fused activation of MatMulBiasAct's epilogue.
 type Act uint8
@@ -48,16 +42,7 @@ const (
 // (dst contents need not be zeroed). A nil dst allocates a fresh output.
 // It returns dst. Results are bit-identical to MatMul's.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	return MatMulBiasAct(dst, a, b, nil, ActNone, 0, 1)
-}
-
-// MatMulParallel computes dst = a×b like MatMulInto, fanning the output
-// columns across up to workers goroutines (workers <= 0 selects
-// GOMAXPROCS). Workers own disjoint column ranges and every element's
-// accumulation order matches the single-threaded kernel, so the result is
-// bit-identical to MatMulInto for any worker count.
-func MatMulParallel(dst, a, b *Tensor, workers int) *Tensor {
-	return MatMulBiasAct(dst, a, b, nil, ActNone, 0, workers)
+	return MatMulBiasAct(dst, a, b, nil, ActNone, 0)
 }
 
 // MatMulBiasAct computes dst = act(a×b + bias) — the fused convolution /
@@ -65,36 +50,13 @@ func MatMulParallel(dst, a, b *Tensor, workers int) *Tensor {
 // k-sum, exactly like the per-frame path; nil skips it) and the activation
 // are applied to each column block while it is cache-hot. Results are
 // bit-identical to MatMul followed by separate bias and activation passes.
-func MatMulBiasAct(dst, a, b *Tensor, bias []float32, act Act, slope float32, workers int) *Tensor {
+func MatMulBiasAct(dst, a, b *Tensor, bias []float32, act Act, slope float32) *Tensor {
 	m, k, n := checkMatMul(a, b)
 	if bias != nil && len(bias) != m {
 		panic(fmt.Sprintf("tensor: MatMulBiasAct bias length %d, want %d", len(bias), m))
 	}
 	dst = ensureDst(dst, m, n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if maxW := n / gemmMinCols; workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 || m*k*n < gemmParallelFlops {
-		gemmBlocked(dst.Data, a.Data, b.Data, m, k, n, 0, n, bias, act, slope)
-		return dst
-	}
-	var wg sync.WaitGroup
-	span := (n + workers - 1) / workers
-	for j0 := 0; j0 < n; j0 += span {
-		j1 := j0 + span
-		if j1 > n {
-			j1 = n
-		}
-		wg.Add(1)
-		go func(j0, j1 int) {
-			defer wg.Done()
-			gemmBlocked(dst.Data, a.Data, b.Data, m, k, n, j0, j1, bias, act, slope)
-		}(j0, j1)
-	}
-	wg.Wait()
+	gemmBlocked(dst.Data, a.Data, b.Data, m, k, n, bias, act, slope)
 	return dst
 }
 
@@ -119,14 +81,10 @@ func ensureDst(dst *Tensor, m, n int) *Tensor {
 	return dst
 }
 
-// gemmBlocked computes dst[:, j0:j1] = act(a×b + bias) over the column
-// range, overwriting dst there.
-func gemmBlocked(dst, a, b []float32, m, k, n, j0, j1 int, bias []float32, act Act, slope float32) {
-	for jb := j0; jb < j1; jb += gemmNC {
-		jEnd := jb + gemmNC
-		if jEnd > j1 {
-			jEnd = j1
-		}
+// gemmBlocked computes dst = act(a×b + bias), overwriting dst.
+func gemmBlocked(dst, a, b []float32, m, k, n int, bias []float32, act Act, slope float32) {
+	for jb := 0; jb < n; jb += gemmNC {
+		jEnd := min(jb+gemmNC, n)
 		i := 0
 		for ; i+4 <= m; i += 4 {
 			gemmQuadRows(dst, a, b, i, k, n, jb, jEnd)

@@ -151,8 +151,11 @@ func TestMaxPool2RowVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(44, 0))
 	nan := float32(math.NaN())
 	for n := 0; n <= 67; n++ {
-		r0 := make([]float32, 2*n)
-		r1 := make([]float32, 2*n)
+		// Rows end flush against an unmapped page where the platform
+		// allows it, so a tail that loads or stores one lane too far
+		// faults instead of passing.
+		r0 := guardedFloats(t, 2*n)
+		r1 := guardedFloats(t, 2*n)
 		awkwardFloats(rng, r0)
 		awkwardFloats(rng, r1)
 		if n > 0 {
@@ -162,7 +165,7 @@ func TestMaxPool2RowVariantsBitIdentical(t *testing.T) {
 		want := make([]float32, n)
 		maxPool2RowGeneric(want, r0, r1)
 		withEveryKernel(t, func(t *testing.T, kernel string) {
-			got := make([]float32, n)
+			got := guardedFloats(t, n)
 			maxPool2Row(got, r0, r1)
 			requireBits(t, "maxPool2Row", kernel, got, want)
 		})
@@ -191,7 +194,7 @@ func TestGEMMBitIdenticalAcrossKernels(t *testing.T) {
 		withEveryKernel(t, func(t *testing.T, kernel string) {
 			requireBits(t, "MatMulInto", kernel, MatMulInto(nil, a, b).Data, want.Data)
 			requireBits(t, "MatMulBiasAct", kernel,
-				MatMulBiasAct(nil, a, b, bias, ActLeakyReLU, 0.1, 1).Data, epi.Data)
+				MatMulBiasAct(nil, a, b, bias, ActLeakyReLU, 0.1).Data, epi.Data)
 		})
 	}
 }
