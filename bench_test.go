@@ -461,9 +461,9 @@ func (c *benchGEMMCounter) Evaluate(f *video.Frame) *filters.Output {
 // benchCoalesceFleet is the many-sparse-feeds workload of the cross-feed
 // broker benchmarks: benchCoalesceFeeds bounded feeds, each serving the
 // same trained OD architecture (separate instances, identical weights —
-// the fingerprint coalescing matches on) with one standing query, and
-// ScanBatch 2 so every feed flushes 2-frame micro-batches — the sparse
-// regime where per-feed batching degenerates to tiny GEMMs. Clips are
+// the fingerprint coalescing matches on) with one standing query, whose
+// executor submits chunks of at most 8 frames — the sparse regime where
+// per-feed batching degenerates to small GEMMs. Clips are
 // longer than the fan-out buffer so feeds genuinely overlap (broker
 // membership is taken at first submission; a clip that fits one buffer
 // can drain solo before the next feed starts).
@@ -522,30 +522,30 @@ func benchCoalesceFleet(b *testing.B, cfg server.Config) (framesPerSec, gemmCall
 	return total / b.Elapsed().Seconds(), float64(calls.Load()) / total
 }
 
-// BenchmarkServerCoalescedScan is the full PR-4 path: the cross-feed
-// broker merges the fleet's 2-frame flushes into one large GEMM per
+// BenchmarkServerCoalescedScan is the full coalesced path: the cross-feed
+// broker merges the fleet's small chunks into one large GEMM per
 // size-or-deadline window, on the auto-dispatched (AVX2 where available)
 // kernels. Compare gemm-calls/frame against the per-feed baselines: 16
-// sparse feeds drop from a batch-of-2 GEMM dispatch each to a shared
-// ~1/32-per-frame dispatch, and frames/s rises accordingly.
+// sparse feeds drop from one small GEMM dispatch per chunk each to a
+// shared ~1/32-per-frame dispatch, and frames/s rises accordingly.
 func BenchmarkServerCoalescedScan(b *testing.B) {
-	fps, calls := benchCoalesceFleet(b, server.Config{ScanBatch: 2})
+	fps, calls := benchCoalesceFleet(b, server.Config{})
 	b.ReportMetric(fps, "frames/s")
 	b.ReportMetric(calls, "gemm-calls/frame")
 }
 
 // BenchmarkServerPerFeedScan disables only the broker (CoalesceBatch 1):
-// every feed dispatches its own micro-batches, as in PR 3, but still on
+// every feed's query dispatches its own chunks, but still on
 // the auto-dispatched kernels. The delta against BenchmarkServerCoalescedScan
 // isolates what cross-feed coalescing itself buys.
 func BenchmarkServerPerFeedScan(b *testing.B) {
-	fps, calls := benchCoalesceFleet(b, server.Config{ScanBatch: 2, CoalesceBatch: 1})
+	fps, calls := benchCoalesceFleet(b, server.Config{CoalesceBatch: 1})
 	b.ReportMetric(fps, "frames/s")
 	b.ReportMetric(calls, "gemm-calls/frame")
 }
 
 // BenchmarkServerPerFeedScanSSE pins the pre-PR system end to end:
-// per-feed micro-batches on the SSE-baseline kernel (the amd64 default
+// per-feed chunks on the SSE-baseline kernel (the amd64 default
 // before runtime AVX2 dispatch landed). This is the configuration the
 // coalesced scan's headline speedup is measured against.
 func BenchmarkServerPerFeedScanSSE(b *testing.B) {
@@ -554,7 +554,7 @@ func BenchmarkServerPerFeedScanSSE(b *testing.B) {
 		b.Skipf("SSE kernel unavailable: %v", err)
 	}
 	defer tensor.SetKernel(prev)
-	fps, calls := benchCoalesceFleet(b, server.Config{ScanBatch: 2, CoalesceBatch: 1})
+	fps, calls := benchCoalesceFleet(b, server.Config{CoalesceBatch: 1})
 	b.ReportMetric(fps, "frames/s")
 	b.ReportMetric(calls, "gemm-calls/frame")
 }

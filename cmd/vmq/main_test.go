@@ -129,7 +129,7 @@ func TestServeBuildServer(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Post(ts.URL+"/queries", "text/plain",
+	resp, err := ts.Client().Post(ts.URL+"/v1/queries", "text/plain",
 		strings.NewReader("SELECT FRAMES FROM detrac WHERE COUNT(car) >= 3"))
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestServeBuildServer(t *testing.T) {
 	if created.Feed != "detrac" {
 		t.Fatalf("created = %+v", created)
 	}
-	resp, err = ts.Client().Get(ts.URL + "/queries/" + created.ID + "/results")
+	resp, err = ts.Client().Get(ts.URL + "/v1/queries/" + created.ID + "/results")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	// Wait for the listener to serve.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(base + "/metrics")
+		resp, err := http.Get(base + "/v1/metrics")
 		if err == nil {
 			resp.Body.Close()
 			break
@@ -204,7 +204,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	resp, err := http.Post(base+"/queries", "text/plain",
+	resp, err := http.Post(base+"/v1/queries", "text/plain",
 		strings.NewReader("SELECT FRAMES FROM jackson WHERE COUNT(car) = 1"))
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 	finals := make(chan server.Event, 1)
 	go func() {
-		resp, err := http.Get(base + "/queries/" + created.ID + "/results")
+		resp, err := http.Get(base + "/v1/queries/" + created.ID + "/results")
 		if err != nil {
 			t.Error(err)
 			finals <- server.Event{}

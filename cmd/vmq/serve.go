@@ -19,8 +19,7 @@ import (
 )
 
 // cmdServe hosts the continuous-query server over one or more synthetic
-// live feeds and blocks serving its HTTP API (canonical under /v1; the
-// unversioned paths remain as deprecated aliases for one release):
+// live feeds and blocks serving its HTTP API under /v1:
 //
 //	POST   /v1/queries              register a VQL query (text or JSON body)
 //	GET    /v1/queries              list registered queries with delivery telemetry

@@ -14,7 +14,7 @@ import (
 //
 // A server hosting many camera feeds often serves them all with the same
 // trained network (one model, N cameras). Each feed still owns its memo
-// and its micro-batches, but the underlying GEMMs can be merged across
+// and its queries' chunks, but the underlying GEMMs can be merged across
 // feeds — if and only if it is safe to push feed A's frames through feed
 // B's backend instance. Coalescable makes that contract explicit: the key
 // fingerprints everything the evaluation depends on (architecture, trained

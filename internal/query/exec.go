@@ -23,12 +23,13 @@ type Engine struct {
 	// engine (one engine per camera, say) set it lower so the fleet's
 	// total worker count still matches the machine.
 	Workers int
-	// ChunkSize sets RunStream's pipeline granularity in frames. 0 (the
-	// default) selects a batch-friendly 32; latency-sensitive callers
-	// (the continuous-query server streaming matches off a paced live
-	// feed) set 1 so a match is confirmed as soon as its frame arrives
-	// instead of after a full chunk accumulates. Results are identical
-	// for every chunk size.
+	// ChunkSize caps RunStream's pipeline granularity in frames. 0 (the
+	// default) selects a batch-friendly 32. A chunk never waits: it is
+	// the first frame the source yields plus only frames the source
+	// already holds (a source reporting Depth() > 0), so on a paced live
+	// feed every frame is confirmed as soon as it arrives, at any cap,
+	// while a backlog or a recording (no Depth) fills chunks to the cap.
+	// Results are identical for every chunk size.
 	ChunkSize int
 	// Observe, when non-nil, receives one FrameObservation per executed
 	// frame, in frame order, from the confirmation stage. It is how

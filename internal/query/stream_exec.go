@@ -17,6 +17,8 @@ import (
 // streamChunk is the unit of work flowing through the pipeline: a run of
 // consecutive frames starting at stream index start. Chunking amortises
 // channel operations and lets backends batch via filters.EvaluateBatch.
+// A chunk is the first frame the source yields plus whatever the source
+// already holds, up to the chunk size (see stream.Take).
 type streamChunk struct {
 	seq    int // chunk sequence number, for ordered reassembly
 	start  int // stream index of frames[0]
@@ -27,7 +29,6 @@ type streamChunk struct {
 // defaultChunkSize balances channel overhead against pipeline latency:
 // large enough that per-chunk costs vanish next to filter evaluation,
 // small enough that the worker pool stays busy on short queries.
-// Engine.ChunkSize overrides it for latency-sensitive callers.
 const defaultChunkSize = 32
 
 // RunStream executes a bound monitoring query over up to n frames pulled
@@ -36,8 +37,9 @@ const defaultChunkSize = 32
 //
 //	source -> filter workers (fan-out) -> reorder -> detector (in order)
 //
-// The source stage pulls frames and groups them into chunks; a pool of
-// filter workers (GOMAXPROCS-wide when the backend declares itself
+// The source stage pulls frames and groups them into chunks, never
+// holding a frame back to wait for batch-mates that have not arrived; a
+// pool of filter workers (GOMAXPROCS-wide when the backend declares itself
 // concurrency-safe, one otherwise) evaluates the filter stage; chunks are
 // reassembled in stream order; and the detector stage confirms surviving
 // frames sequentially on the caller's goroutine. All channels are
@@ -106,22 +108,17 @@ func (e *Engine) RunStream(plan *Plan, src stream.Source, n int) *Result {
 	jobs := make(chan *streamChunk, workers)
 	go func() {
 		defer close(jobs)
-		for start := 0; start < n; start += chunkSize {
+		for seq, start := 0, 0; start < n; seq++ {
 			if failure.Load() != nil {
 				return // a stage faulted: stop feeding the pipeline
 			}
-			want := chunkSize
-			if rem := n - start; rem < want {
-				want = rem
-			}
 			tokens <- struct{}{}
-			frames := stream.Take(src, want)
-			if len(frames) > 0 {
-				jobs <- &streamChunk{seq: start / chunkSize, start: start, frames: frames}
-			}
-			if len(frames) < want {
+			frames := stream.Take(src, min(chunkSize, n-start))
+			if len(frames) == 0 {
 				return // source exhausted
 			}
+			jobs <- &streamChunk{seq: seq, start: start, frames: frames}
+			start += len(frames)
 		}
 	}()
 

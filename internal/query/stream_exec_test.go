@@ -3,7 +3,10 @@ package query
 import (
 	"errors"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"vmq/internal/detect"
 	"vmq/internal/filters"
@@ -97,32 +100,114 @@ func TestRunStreamMatchesSequential(t *testing.T) {
 	}
 }
 
+// batchRecorder records the size of every EvaluateBatch call reaching a
+// trained backend.
+type batchRecorder struct {
+	*filters.Trained
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (r *batchRecorder) EvaluateBatch(frames []*video.Frame, dst []*filters.Output) []*filters.Output {
+	r.mu.Lock()
+	r.sizes = append(r.sizes, len(frames))
+	r.mu.Unlock()
+	return r.Trained.EvaluateBatch(frames, dst)
+}
+
+// backlogSource is a recording that reports its remaining frames as
+// buffered, like a live feed's subscription that has fallen behind.
+type backlogSource struct{ stream.SliceSource }
+
+func (b *backlogSource) Depth() int { return b.Remaining() }
+
 // A trained (real-CNN) backend goes down the native batched path in
 // RunStream — whole chunks per ForwardBatch — and must still be
 // field-identical to the sequential per-frame reference: the batched
 // kernels are bit-identical per frame regardless of how frames are
 // chunked. Untrained weights keep the test fast; the kernels are the same.
+// A backlogged live source (one reporting Depth) fills its chunks from
+// what it already holds, up to the cap.
 func TestRunStreamBatchedTrainedMatchesSequential(t *testing.T) {
 	p := video.Jackson()
 	plan := MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) >= 1`), p)
 	frames := video.NewStream(p, 31).Take(150)
 	cfg := filters.TrainedConfig{Img: 32, Channels: 8, Seed: 31}
-	mk := func() *Engine {
-		return &Engine{
-			Backend:  filters.NewUntrained(filters.OD, p, cfg, nil),
-			Detector: detect.NewOracle(nil),
-			Tol:      Tolerances{Count: 1},
-		}
+	mk := func(b filters.Backend) *Engine {
+		return &Engine{Backend: b, Detector: detect.NewOracle(nil), Tol: Tolerances{Count: 1}}
 	}
-	want := mk().RunSequential(plan, frames)
-	for _, chunk := range []int{0, 1, 7, 64} {
-		eng := mk()
-		eng.ChunkSize = chunk
-		got := eng.RunStream(plan, &stream.SliceSource{Frames: frames}, len(frames))
+	want := mk(filters.NewUntrained(filters.OD, p, cfg, nil)).RunSequential(plan, frames)
+	for _, tc := range []struct {
+		chunk   int
+		backlog bool
+	}{{0, false}, {1, false}, {7, false}, {64, false}, {8, true}} {
+		rec := &batchRecorder{Trained: filters.NewUntrained(filters.OD, p, cfg, nil)}
+		eng := mk(rec)
+		eng.ChunkSize = tc.chunk
+		var src stream.Source = &stream.SliceSource{Frames: frames}
+		if tc.backlog {
+			src = &backlogSource{stream.SliceSource{Frames: frames}}
+		}
+		got := eng.RunStream(plan, src, len(frames))
 		requireSameResult(t, "trained chunked", got, want)
+		if tc.backlog {
+			if slices.Max(rec.sizes) <= 1 || slices.Max(rec.sizes) > tc.chunk {
+				t.Fatalf("backlogged source: batch sizes %v, want some above 1 and none above %d", rec.sizes, tc.chunk)
+			}
+		}
 	}
 	if want.FramesTotal != 150 {
 		t.Fatalf("FramesTotal = %d", want.FramesTotal)
+	}
+}
+
+// lockstepSource releases frame k+1 only after the consumer observed
+// frame k, and reports through Depth whether the next frame is there: a
+// live feed that has nothing buffered until the pipeline drains.
+type lockstepSource struct {
+	frames   []*video.Frame
+	next     int
+	released chan struct{} // one token per frame that has arrived
+}
+
+func (s *lockstepSource) Next() (*video.Frame, bool) {
+	if s.next >= len(s.frames) {
+		return nil, false
+	}
+	<-s.released
+	s.next++
+	return s.frames[s.next-1], true
+}
+
+func (s *lockstepSource) Depth() int { return len(s.released) }
+
+// A chunk never waits for a frame that has not arrived: with a chunk cap
+// of 8 over a source whose next frame only arrives once the last one was
+// confirmed, each chunk must close on the frames the source holds instead
+// of blocking for batch-mates — the ChunkSize=1 latency contract at any
+// chunk size.
+func TestRunStreamChunkNeverWaits(t *testing.T) {
+	p := video.Jackson()
+	plan := MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) >= 1`), p)
+	frames := video.NewStream(p, 19).Take(40)
+	src := &lockstepSource{frames: frames, released: make(chan struct{}, len(frames)+1)}
+	src.released <- struct{}{}
+	eng := &Engine{
+		Backend:   filters.NewODFilter(p, 19, nil),
+		Detector:  detect.NewOracle(nil),
+		Tol:       Tolerances{Count: 1},
+		ChunkSize: 8,
+		Observe:   func(FrameObservation) { src.released <- struct{}{} },
+	}
+	done := make(chan *Result, 1)
+	go func() { done <- eng.RunStream(plan, src, len(frames)) }()
+	select {
+	case got := <-done:
+		want := (&Engine{Backend: filters.NewODFilter(p, 19, nil), Detector: detect.NewOracle(nil), Tol: Tolerances{Count: 1}}).
+			RunSequential(plan, frames)
+		requireSameResult(t, "lockstep", got, want)
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunStream blocked waiting for a frame that had not arrived")
 	}
 }
 

@@ -1,24 +1,26 @@
 // Package sched implements the server-wide inference coalescing broker:
-// the cross-feed generalisation of the per-feed micro-batching scan.
+// the one batching stage in the server that waits for batch-mates.
 //
 // The paper's economics argument is that monitoring many concurrent
 // queries over many camera feeds is only viable when frame evaluation
 // cost is amortised across everything that shares work. Within one feed
-// the scan batcher already groups frames ahead of the fan-out; but a
-// server hosting twenty sparse feeds that all serve the same trained
-// model still issues twenty tiny GEMM batches per flush window — one per
-// feed. The broker collects those pending batches from every feed whose
-// backend shares a network architecture/weights identity
-// (filters.Coalescable) and evaluates them as one large ForwardBatch
-// under a size-or-deadline policy, scattering the per-frame outputs back
-// to each submitter — and through it into each feed's shared memo.
+// the shared memo already makes N queries pay one evaluation per frame,
+// and each query's executor submits whatever backlog it holds as one
+// chunk, never waiting for more; but a server hosting twenty sparse
+// feeds that all serve the same trained model would still issue twenty
+// tiny GEMM batches — one per feed. The broker collects those pending
+// batches from every feed whose backend shares a network
+// architecture/weights identity (filters.Coalescable) and evaluates them
+// as one large ForwardBatch under a size-or-deadline policy, scattering
+// the per-frame outputs back to each submitter — and through it into each
+// feed's shared memo.
 //
 // Coalescing never changes a result: the batched kernels produce
 // bit-identical per-frame outputs for every batch width, and equal
 // coalescing keys certify that any member backend evaluates any member's
 // frames identically. The deadline bounds the latency a frame can add
-// waiting for cross-feed batch-mates, mirroring the per-feed flush
-// deadline, so the server's match-the-moment-it-happens contract holds.
+// waiting for cross-feed batch-mates — the only such wait on the server's
+// path — so the match-the-moment-it-happens contract holds.
 //
 // The same interchangeability lets flushes that overlap in time run
 // concurrently: each group keeps a pool of evaluators — its members' own
@@ -45,12 +47,13 @@ import (
 // Config tunes a Broker. The zero value selects the defaults.
 type Config struct {
 	// Batch is the size trigger: a group flushes as soon as its pending
-	// frames reach this count (default 32 — two of the server's default
-	// per-feed micro-batches). Values < 2 select the default.
+	// frames reach this count (default 32 — four full chunks of the
+	// server's coalescable queries). Values < 2 select the default.
 	Batch int
 	// Flush is the deadline trigger: how long the first pending frame of
-	// a group may wait for cross-feed batch-mates (default 2ms, matching
-	// the per-feed scan flush bound).
+	// a group may wait for cross-feed batch-mates (default 2ms). It is
+	// the only size-or-deadline wait on the server's scan path, so it
+	// bounds the latency batching adds to a paced feed's frame.
 	Flush time.Duration
 	// Shards is the number of independently locked sub-brokers that
 	// architecture groups hash into by coalesce key, so one group's flush
@@ -446,8 +449,8 @@ func (g *group) submit(from *proxy, frames []*video.Frame) []*filters.Output {
 	if r.pval != nil {
 		// This submission's evaluation panicked: re-panic on the
 		// submitter's goroutine, where the query's own pipeline barrier
-		// (or the feed's warm-scan barrier) turns it into that query's
-		// typed failure. The flusher goroutine itself never unwinds.
+		// turns it into that query's typed failure. The flusher goroutine
+		// itself never unwinds.
 		panic(r.pval)
 	}
 	return r.outs

@@ -143,28 +143,26 @@ func TestServerOrderSensitiveDetectorNotShared(t *testing.T) {
 	}
 }
 
-// Micro-batching must not change any query's results: the same fleet over
-// the same recording with batching on (default), off (ScanBatch 1), and
-// with a trained backend, yields identical events; and a paced feed's
-// batcher flushes on the deadline instead of waiting for a full batch.
-func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
+// Chunking the shared scan must not change any query's results: three
+// queries sharing a recorded feed — calibrated (frame-by-frame chunks) or
+// trained (chunks of backlog, coalesced through the broker) — and a
+// paced feed all yield exactly the standalone engine's matches.
+func TestServerSharedScanMatchesStandaloneEngine(t *testing.T) {
 	p := video.Jackson()
 	const n = 256
+	const vql = `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`
 	frames := video.NewStream(p, 33).Take(n)
-	run := func(cfg Config, backend filters.Backend) [][]Event {
-		srv := New(cfg)
-		if err := srv.AddFeed(FeedConfig{
-			Name: p.Name, Profile: p,
-			Source:  &stream.SliceSource{Frames: frames},
-			Backend: backend,
-		}); err != nil {
+	plan := query.MustBind(parse(t, vql), p)
+	run := func(fc FeedConfig, nQueries int) [][]Event {
+		srv := New(Config{})
+		if err := srv.AddFeed(fc); err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		regs := make([]*Registration, 3)
+		regs := make([]*Registration, nQueries)
 		for i := range regs {
 			var err error
-			regs[i], err = srv.Register(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), Options{})
+			regs[i], err = srv.Register(parse(t, vql), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,78 +174,49 @@ func TestServerScanBatchEquivalenceAndPacedFlush(t *testing.T) {
 			wg.Add(1)
 			go func(i int, r *Registration) {
 				defer wg.Done()
-				evs, _, _ := drain(r)
+				evs, _, sawEnd := drain(r)
+				if !sawEnd {
+					t.Errorf("query %d did not finish", i)
+				}
 				out[i] = evs
 			}(i, r)
 		}
 		wg.Wait()
 		return out
 	}
-	requireSameEvents := func(label string, got, want [][]Event) {
+	requireStandalone := func(label string, got [][]Event, backend filters.Backend, frames []*video.Frame) {
 		t.Helper()
-		for q := range want {
-			if len(got[q]) != len(want[q]) {
-				t.Fatalf("%s: query %d event count %d vs %d", label, q, len(got[q]), len(want[q]))
+		eng := &query.Engine{Backend: backend, Detector: detect.NewOracle(nil), Tol: query.Tolerances{Count: 1, Location: 1}}
+		want := eng.RunSequential(plan, frames)
+		if len(want.Matched) == 0 {
+			t.Fatalf("%s: degenerate case, nothing matched", label)
+		}
+		for q, evs := range got {
+			if len(evs) != len(want.Matched) {
+				t.Fatalf("%s: query %d matched %d frames, standalone %d", label, q, len(evs), len(want.Matched))
 			}
-			for i := range want[q] {
-				g, w := got[q][i], want[q][i]
-				if g.Kind != w.Kind || g.Seq != w.Seq || g.FrameIndex != w.FrameIndex || g.Objects != w.Objects {
-					t.Fatalf("%s: query %d event %d = %+v, want %+v", label, q, i, g, w)
+			for i, ev := range evs {
+				f := frames[want.Matched[i]]
+				if ev.Kind != EventMatch || ev.Seq != want.Matched[i] || ev.FrameIndex != f.Index || ev.Objects != len(f.Objects) {
+					t.Fatalf("%s: query %d event %d = %+v, want match at seq %d", label, q, i, ev, want.Matched[i])
 				}
 			}
 		}
 	}
+	clip := func(frames []*video.Frame, b filters.Backend) FeedConfig {
+		return FeedConfig{Name: p.Name, Profile: p, Source: &stream.SliceSource{Frames: frames}, Backend: b}
+	}
 
-	batched := run(Config{}, filters.NewODFilter(p, 33, nil))
-	unbatched := run(Config{ScanBatch: 1}, filters.NewODFilter(p, 33, nil))
-	requireSameEvents("calibrated", batched, unbatched)
+	requireStandalone("calibrated", run(clip(frames, filters.NewODFilter(p, 33, nil)), 3),
+		filters.NewODFilter(p, 33, nil), frames)
 
 	tcfg := filters.TrainedConfig{Img: 32, Channels: 8, Seed: 33}
-	trainedBatched := run(Config{}, filters.NewUntrained(filters.OD, p, tcfg, nil))
-	trainedUnbatched := run(Config{ScanBatch: 1}, filters.NewUntrained(filters.OD, p, tcfg, nil))
-	requireSameEvents("trained", trainedBatched, trainedUnbatched)
+	requireStandalone("trained", run(clip(frames, filters.NewUntrained(filters.OD, p, tcfg, nil)), 3),
+		filters.NewUntrained(filters.OD, p, tcfg, nil), frames)
 
-	// Paced feed: frames arrive ~1ms apart with a 500µs flush deadline, so
-	// batches must flush small instead of stalling the pipeline for 16
-	// frames; the events still match an unpaced run.
-	srv := New(Config{ScanFlush: 500 * time.Microsecond})
-	if err := srv.AddFeed(FeedConfig{
-		Name: p.Name, Profile: p,
-		Source:        &stream.SliceSource{Frames: frames[:64]},
-		Backend:       filters.NewODFilter(p, 33, nil),
-		FrameInterval: time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	r, err := srv.Register(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	evs, _, sawEnd := drain(r)
-	if !sawEnd {
-		t.Fatal("paced run did not finish")
-	}
-	m := srv.Metrics()
-	fm := m.Feeds[0]
-	if fm.ScanBatches == 0 {
-		t.Fatal("paced feed produced no batches")
-	}
-	if fm.ScanAvgBatch > 8 {
-		t.Fatalf("paced feed batches average %.1f frames — deadline flush not working", fm.ScanAvgBatch)
-	}
-	// Sanity: the paced run still produced the standalone-identical match
-	// set for its prefix.
-	eng := &query.Engine{Backend: filters.NewODFilter(p, 33, nil), Detector: detect.NewOracle(nil), Tol: query.Tolerances{Count: 1, Location: 1}}
-	plan := query.MustBind(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) = 1`), p)
-	want := eng.RunStream(plan, &stream.SliceSource{Frames: frames[:64]}, 64)
-	if len(evs) != len(want.Matched) {
-		t.Fatalf("paced run matched %d frames, standalone %d", len(evs), len(want.Matched))
-	}
-	for i, ev := range evs {
-		if ev.Seq != want.Matched[i] {
-			t.Fatalf("paced match %d at seq %d, want %d", i, ev.Seq, want.Matched[i])
-		}
-	}
+	// Paced feed: frames arrive ~1ms apart, so every chunk is whatever
+	// the query already holds and no frame waits for a batch-mate.
+	paced := clip(frames[:64], filters.NewODFilter(p, 33, nil))
+	paced.FrameInterval = time.Millisecond
+	requireStandalone("paced", run(paced, 1), filters.NewODFilter(p, 33, nil), frames[:64])
 }

@@ -76,10 +76,8 @@ func TestServerCrossFeedCoalescingEquivalence(t *testing.T) {
 		clips[i] = video.NewStream(base, uint64(60+i)).Take(nFrames)
 	}
 	tcfg := filters.TrainedConfig{Img: 16, Channels: 8, Seed: 33}
-	// ScanBatch 2 keeps each feed's submissions sparse (1–2 frames), the
-	// regime the broker exists for.
-	coalesced, m := coalesceFleet(t, Config{ScanBatch: 2}, tcfg, clips, 2)
-	perFeed, _ := coalesceFleet(t, Config{ScanBatch: 2, CoalesceBatch: 1}, tcfg, clips, 2)
+	coalesced, m := coalesceFleet(t, Config{}, tcfg, clips, 2)
+	perFeed, _ := coalesceFleet(t, Config{CoalesceBatch: 1}, tcfg, clips, 2)
 
 	for i := range coalesced {
 		for q := range coalesced[i] {
@@ -118,7 +116,7 @@ func TestServerCrossFeedCoalescingEquivalence(t *testing.T) {
 // separate groups (different weights would change results).
 func TestServerCoalesceIsolatesArchitectures(t *testing.T) {
 	base := video.Jackson()
-	srv := New(Config{ScanBatch: 2})
+	srv := New(Config{})
 	for i := 0; i < 2; i++ {
 		p := base
 		p.Name = base.Name + strconv.Itoa(i)
@@ -166,10 +164,7 @@ func TestServerCoalescePacedDeadlineFlush(t *testing.T) {
 	const n = 48
 	frames := video.NewStream(p, 91).Take(n)
 	tcfg := filters.TrainedConfig{Img: 16, Channels: 8, Seed: 91}
-	srv := New(Config{
-		ScanFlush:     500 * time.Microsecond,
-		CoalesceFlush: 500 * time.Microsecond,
-	})
+	srv := New(Config{CoalesceFlush: 500 * time.Microsecond})
 	if err := srv.AddFeed(FeedConfig{
 		Name: p.Name, Profile: p,
 		Source:        &stream.SliceSource{Frames: frames},
@@ -259,5 +254,47 @@ func TestServerOverrideBackendChurnReleases(t *testing.T) {
 	}
 	if g := m.Coalesce[0]; g.Members != churn || g.Live != 0 {
 		t.Fatalf("group %+v: want %d total members, 0 live after churn", g, churn)
+	}
+}
+
+// A bounded feed's queries still submit the frames buffered in their
+// subscriptions after its source ends, so the feed keeps its broker
+// membership until the last of them is done, and only then releases it.
+func TestServerFeedHoldsBrokerMembershipUntilQueriesDone(t *testing.T) {
+	p := video.Jackson()
+	const n = 40
+	srv := New(Config{})
+	if err := srv.AddFeed(FeedConfig{
+		Name: p.Name, Profile: p,
+		Source:  &stream.SliceSource{Frames: video.NewStream(p, 5).Take(n)},
+		Backend: filters.NewUntrained(filters.OD, p, filters.TrainedConfig{Img: 16, Channels: 8, Seed: 5}, nil),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Every frame matches and nobody reads yet: the block policy wedges
+	// the query after 16 events, with the rest of the clip buffered.
+	r, err := srv.Register(parse(t, `SELECT FRAMES FROM jackson WHERE COUNT(car) >= 0`), Options{ResultBuffer: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	f := srv.feeds[p.Name]
+	deadline := time.Now().Add(10 * time.Second)
+	for f.State() != FeedClosed || r.log.NextSeq() < 16 {
+		if time.Now().After(deadline) {
+			t.Fatalf("feed state %s, query at event %d", f.State(), r.log.NextSeq())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if m := srv.Metrics(); len(m.Coalesce) != 1 || m.Coalesce[0].Live != 1 {
+		t.Fatalf("source ended with a query still reading: coalesce %+v, want 1 live member", m.Coalesce)
+	}
+	if _, _, sawEnd := drain(r); !sawEnd {
+		t.Fatal("query did not finish")
+	}
+	<-r.Done()
+	if m := srv.Metrics(); m.Coalesce[0].Live != 0 || m.Coalesce[0].Frames != n {
+		t.Fatalf("after the last query: coalesce %+v, want 0 live members and %d frames", m.Coalesce, n)
 	}
 }

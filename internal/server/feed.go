@@ -27,7 +27,7 @@ const (
 	FeedRunning FeedState = "running"
 	// FeedDraining is a feed whose ingestion has been cut: no new frames
 	// are admitted and no new queries may register, but frames already
-	// in flight (ingest ring, scan batches, fan-out buffers) still flow
+	// in flight (ingest ring, fan-out buffers, executor chunks) still flow
 	// so every query ends with its end event.
 	FeedDraining FeedState = "draining"
 	// FeedClosed is a feed whose pump has finished; its subscriptions are
@@ -81,9 +81,9 @@ func LiveFeed(p video.Profile, seed uint64) FeedConfig {
 }
 
 // feed is one running feed: the fan-out pump, the shared-scan filter
-// memos queries on this feed draw from, the micro-batching scan stage
-// that fills the default memo chunk-at-a-time, and (for order-insensitive
-// detectors) the shared confirmation memo.
+// memos queries on this feed draw from (each query's executor fills them
+// a chunk at a time), and (for order-insensitive detectors) the shared
+// confirmation memo.
 type feed struct {
 	name    string
 	profile video.Profile
@@ -94,20 +94,14 @@ type feed struct {
 	fanout  *stream.Fanout
 	newDet  func() detect.Detector
 	deflt   *filters.Shared
-	batcher *scanBatcher
 	detMemo *detect.Memo
 	broker  *sched.Broker // nil when cross-feed coalescing is disabled
 
 	// push is the feed's ingest ring when its frames arrive from
 	// publishers (a *stream.PushSource config); nil for decoded feeds.
 	push *stream.PushSource
-	// gate cuts the source on drain for feeds without a scan batcher (the
-	// batcher drains at its own input so in-flight batches still flush).
+	// gate cuts a decoded feed's source on drain.
 	gate *drainGate
-
-	// defaultUsers counts live registrations on the default backend; the
-	// scan batcher only warms the memo while someone will read it.
-	defaultUsers atomic.Int64
 
 	// lastFrame is the wall-clock UnixMilli of the last frame the pump
 	// dispatched (0 until the first frame) — the stall watchdog's input.
@@ -117,6 +111,13 @@ type feed struct {
 	shared  map[filters.Backend]*sharedEntry
 	started time.Time
 	running bool
+	// readers counts registrations reading the feed (sharedFor/release
+	// pairs) and ended records that its source has run dry. Queries keep
+	// submitting the frames buffered in their subscriptions after the
+	// source ends, so the feed holds its broker memberships until both:
+	// the source has ended and the last reader is done.
+	readers int
+	ended   bool
 	// state is the lifecycle phase; endReason is stamped on every query's
 	// end event once a drain or removal decides how the feed ends (empty
 	// for a source that ends on its own).
@@ -162,12 +163,11 @@ func (f *feed) stalledNow(window time.Duration) (int64, bool) {
 }
 
 // drain cuts the feed's ingestion while letting everything already in
-// flight — ingest-ring frames, scan batches, memo warm-ups, fan-out
-// buffers — flow to the registered queries, which then end through the
-// ordinary source-EOF path: the batcher flushes its partial batch, the
-// EOF notifier releases the feed's broker memberships, the fan-out
-// closes every subscription, and each runner emits its end event carrying
-// reason. Reports whether this call initiated the drain (false when the
+// flight — ingest-ring frames, fan-out buffers — flow to the registered
+// queries, which then end through the ordinary source-EOF path: the
+// fan-out closes every subscription, each runner emits its end event
+// carrying reason, and the last one done releases the feed's broker
+// memberships. Reports whether this call initiated the drain (false when the
 // feed was already draining or closed). Safe to call before the pump
 // starts: the later start finds the source already cut and closes out
 // immediately.
@@ -180,14 +180,11 @@ func (f *feed) drain(reason string) bool {
 	f.state = FeedDraining
 	f.endReason = reason
 	f.mu.Unlock()
-	switch {
-	case f.push != nil:
+	if f.push != nil {
 		// Close the ring's input: publishers get ErrPushClosed, buffered
 		// frames still reach the scan.
 		f.push.Close()
-	case f.batcher != nil:
-		f.batcher.drainInput()
-	default:
+	} else {
 		f.gate.cut()
 	}
 	// A pump idling on an empty subscriber set never reads the source, so
@@ -204,8 +201,7 @@ func (f *feed) drain(reason string) bool {
 // them: when the last one retires, the entry is dropped and its broker
 // membership released, so long-running servers with query churn do not
 // accumulate groups, members and retained weight tensors. The feed's
-// default entry lives for the feed's lifetime (defaultUsers gates its
-// scan warm-up instead).
+// default entry lives for the feed's lifetime.
 type sharedEntry struct {
 	sh    *filters.Shared
 	refs  int          // live registrations on an override backend
@@ -239,7 +235,6 @@ func (f *feed) leaveBroker() {
 
 func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	fanoutBuffer, cacheCap := srv.FanoutBuffer, srv.SharedCacheCap
-	scanBatch, scanFlush := srv.ScanBatch, srv.ScanFlush
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("server: feed needs a name")
 	}
@@ -280,7 +275,7 @@ func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	}
 	// Trained backends that fingerprint an architecture identity route
 	// through the cross-feed broker: feeds serving the same model merge
-	// their micro-batches into one GEMM, and the memo scatter below the
+	// their queries' chunks into one GEMM, and the memo scatter below the
 	// Shared wrapper is untouched. The shared map stays keyed by the
 	// original backend so queries naming the same instance join the same
 	// memo.
@@ -288,37 +283,20 @@ func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	f.deflt = filters.NewShared(wrapped, cacheCap)
 	f.shared[backend] = newSharedEntry(f.deflt, wrapped)
 
-	// Micro-batch the shared scan: frames flow source -> batcher ->
-	// fan-out, and each flushed batch pre-fills the default memo through
-	// the backend's batch path (one clock transaction, batched GEMMs for
-	// trained backends), so every query's ChunkSize=1 low-latency pipeline
-	// hits a warm cache.
-	if scanBatch > 1 {
-		f.batcher = &scanBatcher{
-			src:     src,
-			warm:    f.deflt,
-			active:  func() bool { return f.defaultUsers.Load() > 0 },
-			size:    scanBatch,
-			flush:   scanFlush,
-			raw:     make(chan *video.Frame, scanBatch),
-			stop:    make(chan struct{}),
-			drainC:  make(chan struct{}),
-			warmSem: make(chan struct{}, 2),
-		}
-		src = f.batcher
-	} else {
-		// No batcher to drain at: give drain a gate that cuts the source
-		// directly (frames already teed downstream still flow).
+	if f.push == nil {
+		// Drain cuts a decoded source here; frames already teed
+		// downstream still flow. (A push feed closes its ring instead.)
 		f.gate = &drainGate{src: src}
 		src = f.gate
 	}
 	// Stamp every pumped frame for the stall watchdog before the EOF
 	// notifier (a feed that ended is closed, not stalled).
 	src = &stampSource{src: src, last: &f.lastFrame}
-	// A bounded feed that drains releases its broker memberships the
-	// moment its source ends, so feeds still running stop spending the
-	// coalesce deadline waiting for submissions it will never make.
-	src = &eofNotifySource{src: src, fire: f.leaveBroker}
+	// A bounded feed that drains releases its broker memberships once
+	// its source has ended and its queries are done, so feeds still
+	// running stop spending the coalesce deadline waiting for
+	// submissions it will never make.
+	src = &eofNotifySource{src: src, fire: f.sourceEnded}
 	f.fanout = stream.NewFanout(src, fanoutBuffer)
 
 	newDet := cfg.NewDetector
@@ -337,39 +315,47 @@ func newFeed(cfg FeedConfig, srv Config, broker *sched.Broker) (*feed, error) {
 	return f, nil
 }
 
-// release undoes a registration's claims: the default-backend warm-up
-// gate, and — for a registration that brought its own backend — that
-// backend's shared entry, dropped (memo and broker membership released)
-// when its last registration retires.
-func (f *feed) release(usedDefault bool, override filters.Backend) {
-	if usedDefault {
-		f.defaultUsers.Add(-1)
-	}
-	if override == nil {
-		return
-	}
+// sourceEnded is the EOF notifier: with no reader left, the feed will
+// never submit again and releases its broker memberships now; otherwise
+// the last reader's release does.
+func (f *feed) sourceEnded() {
 	f.mu.Lock()
-	e, ok := f.shared[override]
-	if !ok || e.sh == f.deflt {
-		f.mu.Unlock()
-		return
+	f.ended = true
+	idle := f.readers == 0
+	f.mu.Unlock()
+	if idle {
+		f.leaveBroker()
 	}
-	e.refs--
+}
+
+// release undoes a registration's sharedFor claim. The reader count
+// drops (the last reader of an ended feed releases its broker
+// memberships), and for a registration that brought its own backend,
+// that backend's shared entry is dropped (memo and broker membership
+// released) when its last registration retires.
+func (f *feed) release(override filters.Backend) {
+	f.mu.Lock()
+	f.readers--
+	done := f.ended && f.readers == 0
 	var leave sched.Member
-	if e.refs <= 0 {
-		delete(f.shared, override)
-		leave = e.leave
+	if e, ok := f.shared[override]; override != nil && ok && e.sh != f.deflt {
+		if e.refs--; e.refs <= 0 {
+			delete(f.shared, override)
+			leave = e.leave
+		}
 	}
 	f.mu.Unlock()
 	if leave != nil {
 		leave.Leave()
 	}
+	if done {
+		f.leaveBroker()
+	}
 }
 
-// close stops the scan batcher and the fan-out pump, releasing the feed's
-// broker memberships. Unlike drain it does not wait for in-flight frames;
-// it is the hard-stop path (server Close, teardown after a drain has
-// already flushed).
+// close stops the fan-out pump, releasing the feed's broker memberships.
+// Unlike drain it does not wait for in-flight frames; it is the hard-stop
+// path (server Close, teardown after a drain has already flushed).
 func (f *feed) close() {
 	if f.push != nil {
 		// Unblock a pump parked in PushSource.Next waiting for publishers
@@ -377,24 +363,22 @@ func (f *feed) close() {
 		// source read.
 		f.push.Close()
 	}
-	if f.batcher != nil {
-		f.batcher.shutdown()
-	}
 	f.leaveBroker()
 	f.fanout.Stop()
 }
 
 // sharedFor returns the feed's memoised wrapper for a backend, creating
 // one on first use so every query naming the same backend instance joins
-// the same shared scan. A nil backend selects the feed default. Override
-// entries are reference-counted; each call must be paired with a release
-// carrying the same backend.
+// the same shared scan. A nil backend selects the feed default. Each call
+// counts a reader and must be paired with a release carrying the same
+// backend; override entries are reference-counted.
 func (f *feed) sharedFor(b filters.Backend, cacheCap int) *filters.Shared {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.readers++
 	if b == nil {
 		return f.deflt
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if e, ok := f.shared[b]; ok {
 		// The default entry is not refcounted (it lives for the feed's
 		// lifetime), so keep the increment symmetric with release's guard
@@ -434,9 +418,9 @@ func (f *feed) start() {
 	}()
 }
 
-// drainGate sits between a feed's source and its fan-out when there is no
-// scan batcher to drain at: cut flips it to end-of-stream, so the pump
-// observes EOF on its next read and the ordinary teardown path runs.
+// drainGate sits between a decoded feed's source and its fan-out: cut
+// flips it to end-of-stream, so the pump observes EOF on its next read
+// and the ordinary teardown path runs.
 type drainGate struct {
 	src    stream.Source
 	closed atomic.Bool
@@ -450,169 +434,6 @@ func (g *drainGate) Next() (*video.Frame, bool) {
 }
 
 func (g *drainGate) cut() { g.closed.Store(true) }
-
-// scanBatcher is the micro-batching stage between a feed's source and its
-// fan-out: frames are grouped into batches of up to size frames, flushed
-// early when the flush deadline expires, and each flushed batch pre-fills
-// the default shared filter memo in one batch evaluation. Added latency
-// per frame is bounded by flush (a paced camera frame waits at most flush
-// before dispatch, preserving the server's match-the-moment-it-happens
-// contract); a backlogged source fills whole batches with no waiting.
-//
-// The batcher is pull-driven: its source puller starts on the fan-out's
-// first read, so a bounded recording still does not drain before the
-// first query registers. Once running it looks ahead at most size frames.
-type scanBatcher struct {
-	src    stream.Source
-	warm   *filters.Shared
-	active func() bool // whether any registration reads the default memo
-	size   int
-	flush  time.Duration
-
-	start sync.Once
-	raw   chan *video.Frame
-	stop  chan struct{}
-	stopO sync.Once
-	// drainC ends the puller without cutting frames already pulled: the
-	// raw channel closes, fill flushes the partial batch, and EOF
-	// propagates downstream — a graceful drain, where stop is the hard
-	// shutdown that also abandons buffered frames.
-	drainC chan struct{}
-	drainO sync.Once
-
-	cur []*video.Frame
-	idx int
-	// warmWG tracks fire-and-forget memo warm-ups. EOF waits for them:
-	// the frames-exhausted signal is what releases the feed's broker
-	// membership, and a warm-up still submitting after that would
-	// evaluate into a retired group whose counters are no longer
-	// visible. Add and Wait both run on the pump goroutine. warmSem
-	// bounds how many warm-ups run at once — when EvaluateBatch falls
-	// behind the pump, acquiring a slot blocks the pump at a fixed
-	// pipeline depth instead of accumulating goroutines and batch
-	// copies without limit (see fill for why blocking, not skipping).
-	warmWG  sync.WaitGroup
-	warmSem chan struct{}
-
-	batches atomic.Int64
-	framesN atomic.Int64
-}
-
-// Next implements stream.Source for the fan-out pump. It is called from
-// the single pump goroutine only.
-func (s *scanBatcher) Next() (*video.Frame, bool) {
-	s.start.Do(func() { go s.pull() })
-	if s.idx >= len(s.cur) {
-		if !s.fill() {
-			return nil, false
-		}
-	}
-	f := s.cur[s.idx]
-	s.idx++
-	return f, true
-}
-
-// fill collects the next micro-batch: it blocks for the first frame, then
-// gathers more until the batch is full or the flush deadline passes, and
-// warms the shared memo with one batch evaluation.
-func (s *scanBatcher) fill() bool {
-	f, ok := <-s.raw
-	if !ok {
-		s.warmWG.Wait() // let in-flight warm-ups land before EOF propagates
-		return false
-	}
-	s.cur = append(s.cur[:0], f)
-	timer := time.NewTimer(s.flush)
-collect:
-	for len(s.cur) < s.size {
-		select {
-		case f, ok := <-s.raw:
-			if !ok {
-				break collect
-			}
-			s.cur = append(s.cur, f)
-		case <-timer.C:
-			break collect
-		}
-	}
-	timer.Stop()
-	s.idx = 0
-	s.batches.Add(1)
-	s.framesN.Add(int64(len(s.cur)))
-	if s.warm != nil && s.active() {
-		// Warm the memo fire-and-forget: the batch claims its frames'
-		// memo entries in one inner batch evaluation while the pump is
-		// already dispatching them downstream, overlapping decode and
-		// fan-out with a flush that may be waiting on coalesced
-		// batch-mates from other feeds. Queries that reach a frame first
-		// simply claim it themselves (memo entries are exactly-once) and
-		// everyone else blocks on the entry's ready channel, so results
-		// and shared-scan economy are unchanged — only the pump stops
-		// stalling. The goroutine owns its own copy of the batch (s.cur
-		// is reused). warmSem bounds the look-ahead: when EvaluateBatch
-		// falls behind the pump, acquiring a slot blocks, restoring
-		// backpressure at a fixed pipeline depth instead of accumulating
-		// goroutines and batch copies without limit. Skipping instead of
-		// blocking is not safe here: a batch left for queries to claim
-		// after the feed's EOF releases its broker membership would
-		// evaluate into a retired group and vanish from the metrics.
-		// On shutdown the stop branch forgoes the warm-up.
-		select {
-		case s.warmSem <- struct{}{}:
-			batch := make([]*video.Frame, len(s.cur))
-			copy(batch, s.cur)
-			s.warmWG.Add(1)
-			go func() {
-				defer func() {
-					// A panicking backend must not take the process down
-					// from a fire-and-forget warm-up; queries that claim
-					// the frames themselves hit the same panic behind the
-					// executor's own barrier and fail individually.
-					_ = recover()
-					<-s.warmSem
-					s.warmWG.Done()
-				}()
-				s.warm.EvaluateBatch(batch, nil)
-			}()
-		case <-s.stop:
-		}
-	}
-	return true
-}
-
-// pull streams the source into the raw channel until the source ends, the
-// batcher is shut down, or a drain cuts further pulls.
-func (s *scanBatcher) pull() {
-	defer close(s.raw)
-	for {
-		select {
-		case <-s.drainC:
-			return
-		default:
-		}
-		f, ok := s.src.Next()
-		if !ok {
-			return
-		}
-		select {
-		case s.raw <- f:
-		case <-s.stop:
-			return
-		case <-s.drainC:
-			// The frame in hand was never admitted to a batch; the drain
-			// cut the source just before it.
-			return
-		}
-	}
-}
-
-// shutdown releases the puller; idempotent.
-func (s *scanBatcher) shutdown() { s.stopO.Do(func() { close(s.stop) }) }
-
-// drainInput stops pulling new frames while letting everything already in
-// the raw channel flush downstream as the final (possibly partial) batch;
-// idempotent.
-func (s *scanBatcher) drainInput() { s.drainO.Do(func() { close(s.drainC) }) }
 
 // stampSource records the wall-clock instant of every frame the wrapped
 // source yields, feeding the feed's stall watchdog.

@@ -343,32 +343,9 @@ func TestServerSpillBudgetBounded(t *testing.T) {
 	}
 }
 
-// The unversioned aliases carry deprecation headers pointing at their
-// /v1 successors; the /v1 surface does not, and errors everywhere use
-// the typed envelope.
-func TestHTTPDeprecationAndErrorEnvelope(t *testing.T) {
+// Errors everywhere use the typed envelope with a stable code.
+func TestHTTPErrorEnvelope(t *testing.T) {
 	_, ts := newHTTPServer(t, 20)
-
-	legacy, err := http.Get(ts.URL + "/queries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.Body.Close()
-	if legacy.Header.Get("Deprecation") != "true" {
-		t.Fatalf("legacy route Deprecation header = %q, want true", legacy.Header.Get("Deprecation"))
-	}
-	if link := legacy.Header.Get("Link"); link != `</v1/queries>; rel="successor-version"` {
-		t.Fatalf("legacy route Link header = %q", link)
-	}
-
-	v1, err := http.Get(ts.URL + "/v1/queries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1.Body.Close()
-	if v1.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route carries a Deprecation header")
-	}
 
 	for _, tc := range []struct {
 		method, path, body string

@@ -209,7 +209,7 @@ func TestServerRemoveFeedEmitsEndEvents(t *testing.T) {
 func TestServerFeedChurnWithCoalescingBroker(t *testing.T) {
 	base := video.Jackson()
 	tcfg := filters.TrainedConfig{Img: 16, Channels: 8, Seed: 33}
-	srv := New(Config{ScanBatch: 2})
+	srv := New(Config{})
 	defer srv.Close()
 	srv.Start()
 

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vmq/internal/filters"
 	"vmq/internal/query"
 	"vmq/internal/rlog"
 	"vmq/internal/sched"
@@ -114,15 +115,6 @@ type Config struct {
 	// SharedCacheCap caps each shared filter memo, in frames
 	// (default 4096).
 	SharedCacheCap int
-	// ScanBatch is the shared scan's micro-batch size per feed (default
-	// 16): frames are grouped before the fan-out and each group pre-fills
-	// the default filter memo through the backend's batch path. 1 disables
-	// micro-batching; values <= 0 select the default.
-	ScanBatch int
-	// ScanFlush bounds how long a partial micro-batch may wait for more
-	// frames before flushing downstream (default 2ms) — the latency a
-	// paced feed's frame can add waiting for batch-mates.
-	ScanFlush time.Duration
 	// CoalesceBatch is the size trigger of the cross-feed inference
 	// broker (default 32): pending frames from every feed whose backend
 	// shares an architecture/weights identity (filters.Coalescable) are
@@ -133,8 +125,8 @@ type Config struct {
 	CoalesceBatch int
 	// CoalesceFlush bounds how long a pending frame may wait for
 	// cross-feed batch-mates before the broker flushes (default 2ms) —
-	// the coalescing analogue of ScanFlush, preserving the per-feed
-	// latency contract.
+	// the only size-or-deadline wait a frame meets, so it bounds the
+	// latency batching can add to a paced feed's matches.
 	CoalesceFlush time.Duration
 	// SpillDir is the root directory for server-managed result spills
 	// (Options.Spill): each spilling registration gets
@@ -179,12 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SharedCacheCap <= 0 {
 		c.SharedCacheCap = 4096
-	}
-	if c.ScanBatch <= 0 {
-		c.ScanBatch = 16
-	}
-	if c.ScanFlush <= 0 {
-		c.ScanFlush = 2 * time.Millisecond
 	}
 	if c.CoalesceBatch <= 0 {
 		c.CoalesceBatch = 32
@@ -574,10 +560,6 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	}
 
 	backend := f.sharedFor(opt.Backend, s.cfg.SharedCacheCap)
-	usesDefault := opt.Backend == nil
-	if usesDefault {
-		f.defaultUsers.Add(1)
-	}
 
 	r := &Registration{
 		id:         id,
@@ -617,7 +599,7 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 			if jerr := s.manifest.queryRegistered(rec); jerr != nil {
 				r.sub.Cancel()
 				r.closeSpill()
-				f.release(usesDefault, opt.Backend)
+				f.release(opt.Backend)
 				return nil, jerr
 			}
 		}
@@ -646,7 +628,7 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 		s.mu.Unlock()
 		r.sub.Cancel()
 		r.closeSpill()
-		f.release(usesDefault, opt.Backend)
+		f.release(opt.Backend)
 		if journaled && pin == nil {
 			_ = s.manifest.queryUnregistered(id)
 		}
@@ -657,7 +639,7 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 	s.mu.Unlock()
 
 	release := func() {
-		f.release(usesDefault, opt.Backend)
+		f.release(opt.Backend)
 		s.mu.Lock()
 		if s.liveRegs[f.name]--; s.liveRegs[f.name] <= 0 {
 			delete(s.liveRegs, f.name)
@@ -689,15 +671,21 @@ func (s *Server) register(q *vql.Query, opt Options, pin *recoveredQuery) (*Regi
 			s.journalFinished(r, journaled)
 		}()
 	} else {
-		// ChunkSize 1: a monitoring server exists to surface matches the
-		// moment they happen, so the pipeline must not sit on a partial
-		// chunk waiting for a paced feed to fill it. The worker gate is
-		// the feed's share of the server-wide budget, resized as feeds
-		// come and go — only filtered queries join: an unfiltered SELECT
-		// FRAMES runs no filter stage, so it must not shrink other
-		// feeds' shares for a gate it would never acquire.
-		eng := &query.Engine{
-			Backend: backend, Detector: det, Tol: tol, ChunkSize: 1,
+		// A monitoring server exists to surface matches the moment they
+		// happen; the executor's chunks never wait for a frame that has
+		// not arrived, so a chunk is only the backlog a query already
+		// holds. A CNN backend the broker can coalesce takes up to 8
+		// frames of it per submission, keeping a backlogged feed's GEMMs
+		// wide; any other backend gains nothing from a chunk, and a
+		// chunk's first match would wait on the rest of its filter work,
+		// so it runs frame by frame. The worker gate is the feed's share
+		// of the server-wide budget, resized as feeds come and go — only
+		// filtered queries join: an unfiltered SELECT FRAMES runs no
+		// filter stage, so it must not shrink other feeds' shares for a
+		// gate it would never acquire.
+		eng := &query.Engine{Backend: backend, Detector: det, Tol: tol, ChunkSize: 1}
+		if _, ok := backend.Inner().(filters.Coalescable); ok {
+			eng.ChunkSize = 8
 		}
 		budgeted := plan.Where != nil
 		if budgeted {
@@ -904,10 +892,6 @@ type FeedMetrics struct {
 	// subscribers but has not dispatched a frame within
 	// Config.StallAfter.
 	Stalled bool `json:"stalled,omitempty"`
-	// ScanBatches is how many micro-batches the shared scan has flushed;
-	// ScanAvgBatch is their mean size in frames.
-	ScanBatches  int64   `json:"scan_batches,omitempty"`
-	ScanAvgBatch float64 `json:"scan_avg_batch,omitempty"`
 	// SharedFilters reports each memoised backend's shared-scan economy.
 	SharedFilters []SharedFilterMetrics `json:"shared_filters"`
 	// SharedDetector reports the feed's memoised confirmation detector
@@ -1028,12 +1012,6 @@ func (s *Server) Metrics() Metrics {
 				Capacity:  f.push.Capacity(),
 				Published: f.push.Published(),
 				Dropped:   f.push.Dropped(),
-			}
-		}
-		if f.batcher != nil {
-			fm.ScanBatches = f.batcher.batches.Load()
-			if fm.ScanBatches > 0 {
-				fm.ScanAvgBatch = float64(f.batcher.framesN.Load()) / float64(fm.ScanBatches)
 			}
 		}
 		if f.detMemo != nil {

@@ -192,21 +192,18 @@ func TestServerSharedScanEvaluatesBackendOncePerFrame(t *testing.T) {
 	if got := counting.Calls(); got != n {
 		t.Fatalf("backend evaluated %d times for %d frames x %d queries — shared scan broken", got, n, nQueries)
 	}
-	// The memo's own accounting agrees: the micro-batching scan stage
-	// takes the one miss per frame (filling the memo chunk-at-a-time
-	// before dispatch), so every query lookup is a hit.
+	// The memo's own accounting agrees: whichever query reaches a frame
+	// first takes its one miss, and every other query's lookup of it is
+	// a hit.
 	m := srv.Metrics()
 	if len(m.Feeds) != 1 || len(m.Feeds[0].SharedFilters) != 1 {
 		t.Fatalf("metrics shape: %+v", m.Feeds)
 	}
 	sf := m.Feeds[0].SharedFilters[0]
-	if sf.Misses != n || sf.Hits != int64(nQueries*n) {
-		t.Fatalf("shared filter counters = %+v, want %d misses / %d hits", sf, n, nQueries*n)
+	if sf.Misses != n || sf.Hits != int64((nQueries-1)*n) {
+		t.Fatalf("shared filter counters = %+v, want %d misses / %d hits", sf, n, (nQueries-1)*n)
 	}
 	fm := m.Feeds[0]
-	if fm.ScanBatches == 0 || fm.ScanAvgBatch <= 1 {
-		t.Fatalf("scan batcher idle on a backlogged feed: %d batches, avg %.1f", fm.ScanBatches, fm.ScanAvgBatch)
-	}
 	if fm.SharedDetector == nil {
 		t.Fatal("oracle feed must report shared detector metrics")
 	}

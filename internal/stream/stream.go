@@ -35,10 +35,18 @@ func (ss streamSource) Next() (*video.Frame, bool) { return ss.s.Next(), true }
 // FromStream adapts a *video.Stream (an unbounded generator) to Source.
 func FromStream(s *video.Stream) Source { return streamSource{s} }
 
-// Take pulls up to n frames from src, stopping early on exhaustion.
+// Take pulls up to n frames from src, stopping early on exhaustion. Only
+// the first frame is waited for: after it, a source that reports its
+// buffered frames (Depth, as a Subscription or PushSource does) is read
+// only while it holds some, so Take never waits for a frame that has not
+// arrived. A source without Depth counts as always ready.
 func Take(src Source, n int) []*video.Frame {
+	buffered, live := src.(interface{ Depth() int })
 	out := make([]*video.Frame, 0, n)
 	for i := 0; i < n; i++ {
+		if live && i > 0 && buffered.Depth() == 0 {
+			break
+		}
 		f, ok := src.Next()
 		if !ok {
 			break

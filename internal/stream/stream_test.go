@@ -281,6 +281,17 @@ func TestTakeStopsAtExhaustion(t *testing.T) {
 	if got := Take(FromStream(video.NewStream(video.Jackson(), 10)), 7); len(got) != 7 {
 		t.Fatalf("Take over unbounded source = %d frames", len(got))
 	}
+	// A live source that reports Depth is read only while it holds
+	// frames: Take returns what is buffered instead of waiting for more.
+	push := NewPushSource(8, PushBlock)
+	for _, f := range frames[:2] {
+		if err := push.Publish(f, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := Take(push, 10); len(got) != 2 || got[1] != frames[1] {
+		t.Fatalf("Take over a live source holding 2 frames = %d frames", len(got))
+	}
 }
 
 func TestHoppingWindowsExhaustion(t *testing.T) {
